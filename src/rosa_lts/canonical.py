@@ -19,6 +19,16 @@ parallel, the left of ';') are unfolded so that a definition and its
 body get the same key; variables under an action guard stay folded,
 which keeps keys finite for recursive definitions. The shared unfold
 budget turns unguarded recursion into an error.
+
+Operands are ordered, and S3 detected, by comparing keys, which each
+node computes once and caches (see `pretty_print`); printing is
+injective, so equal keys mean equal trees. A node whose operands come
+back unchanged is returned itself, and every result of canonicalizing
+an unguarded position is marked on the (slotted) node as canonical.
+Such a term has no unguarded variable left, so it is a fixed point for
+any environment, and a later call returns it at once. Successor states
+share most subtrees with their already-canonical source, so they are
+rewritten only along the path that changed.
 """
 
 from __future__ import annotations
@@ -57,53 +67,70 @@ def canonical_key(
 def _canon(
     p: Process, env: DefinitionEnv, budget: _Budget, guarded: bool
 ) -> Process:
-    if isinstance(p, Var):
+    # Marked below: a fixed point under either flag (module docstring).
+    if p._canonical:
+        return p
+    kind = type(p)
+    if kind is Var:
         if guarded:
             return p
-        return _canon(
-            _unfold(p, env, budget), env, budget, guarded=False
-        )
-    if isinstance(p, Nil):
-        return p
-    if isinstance(p, Prefix):
+        q = _canon(_unfold(p, env, budget), env, budget, guarded=False)
+    elif kind is Nil:
+        q = p
+    elif kind is Prefix:
         cont = _canon(p.continuation, env, budget, guarded=True)
-        return p if cont == p.continuation else Prefix(p.action, p.rate, cont)
-    if isinstance(p, Seq):
+        q = p if cont is p.continuation else Prefix(p.action, p.rate, cont)
+    elif kind is Seq:
         left = _canon(p.left, env, budget, guarded)
-        if left == NIL:
+        if type(left) is Nil:
             # S1 exposes the right operand at this position.
-            return _canon(p.right, env, budget, guarded)
-        right = _canon(p.right, env, budget, guarded=True)
-        return Seq(left, right)
-    if isinstance(p, (IntChoice, ExtChoice)):
+            q = _canon(p.right, env, budget, guarded)
+        else:
+            right = _canon(p.right, env, budget, guarded=True)
+            if left is p.left and right is p.right:
+                q = p
+            else:
+                q = Seq(left, right)
+    elif kind is IntChoice or kind is ExtChoice:
         left = _canon(p.left, env, budget, guarded)
         right = _canon(p.right, env, budget, guarded)
-        if left == right:
-            return left
-        if pretty_print(right) < pretty_print(left):
-            left, right = right, left
-        ctor = type(p)
-        return ctor(left, right)
-    if isinstance(p, ProbChoice):
+        left_key, right_key = pretty_print(left), pretty_print(right)
+        if left_key == right_key:
+            q = left
+        elif right_key < left_key:
+            q = kind(right, left)
+        elif left is p.left and right is p.right:
+            q = p
+        else:
+            q = kind(left, right)
+    elif kind is ProbChoice:
         if p.prob == 1.0:
-            return _canon(p.left, env, budget, guarded)
-        if p.prob == 0.0:
-            return _canon(p.right, env, budget, guarded)
-        prob = p.prob
+            q = _canon(p.left, env, budget, guarded)
+        elif p.prob == 0.0:
+            q = _canon(p.right, env, budget, guarded)
+        else:
+            left = _canon(p.left, env, budget, guarded)
+            right = _canon(p.right, env, budget, guarded)
+            if pretty_print(right) < pretty_print(left):
+                prob = 1.0 - p.prob
+                q = right if prob == 1.0 else ProbChoice(prob, right, left)
+            elif left is p.left and right is p.right:
+                q = p
+            else:
+                q = ProbChoice(p.prob, left, right)
+    elif kind is Par:
         left = _canon(p.left, env, budget, guarded)
         right = _canon(p.right, env, budget, guarded)
-        if pretty_print(right) < pretty_print(left):
-            left, right = right, left
-            prob = 1.0 - prob
-            if prob == 1.0:
-                return left
-        return ProbChoice(prob, left, right)
-    if isinstance(p, Par):
-        left = _canon(p.left, env, budget, guarded)
-        right = _canon(p.right, env, budget, guarded)
-        if left == NIL and right == NIL:
-            return NIL
-        if pretty_print(right) < pretty_print(left):
-            left, right = right, left
-        return Par(p.sync, left, right)
-    raise TypeError(f"not a Process: {p!r}")
+        if type(left) is Nil and type(right) is Nil:
+            q = NIL
+        elif pretty_print(right) < pretty_print(left):
+            q = Par(p.sync, right, left)
+        elif left is p.left and right is p.right:
+            q = p
+        else:
+            q = Par(p.sync, left, right)
+    else:
+        raise TypeError(f"not a Process: {p!r}")
+    if not guarded:
+        object.__setattr__(q, "_canonical", True)
+    return q

@@ -2,9 +2,10 @@
 system, write one of the three output formats.
 
 Exit codes: 0 success (truncated builds included, with a warning on
-stderr); 2 parse or validation errors; 3 unbound variables or unguarded
-recursion. Diagnostics go to stderr only, so the selected format is the
-only thing on stdout.
+stderr); 1 file read/write errors; 2 parse or validation errors, and
+input nested deeper than the recursive walkers can follow; 3 unbound
+variables or unguarded recursion. Diagnostics go to stderr only, so the
+selected format is the only thing on stdout.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .export import ExportOptions, to_dot, to_json, to_text
 from .parser import parse_program
 from .process import DefinitionEnv
 
+# For terms nested deeper than the parser and the semantic walkers,
+# which recurse once per tree level, can follow.
+_TOO_DEEP = "error: input nested too deeply"
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -42,8 +47,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Exit codes: 0 success (also truncated builds, which warn on "
-            "stderr); 2 parse/validation error; 3 unbound variable or "
-            "unguarded recursion."
+            "stderr); 1 read/write error; 2 parse/validation error or input "
+            "nested too deeply; 3 unbound variable or unguarded recursion."
         ),
     )
     parser.add_argument(
@@ -102,6 +107,9 @@ def run(args: argparse.Namespace) -> int:
     except (ParseError, ValidationError, DuplicateDefinition) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(_TOO_DEEP, file=sys.stderr)
+        return 2
 
     if args.check:
         return 0
@@ -114,6 +122,9 @@ def run(args: argparse.Namespace) -> int:
     except (UnboundVariable, UnguardedRecursion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print(_TOO_DEEP, file=sys.stderr)
+        return 2
 
     if lts.truncated:
         print(

@@ -3,6 +3,11 @@
 The operator that binds loosest sits at the root: sequential composition
 is split off first, then parallel, then the three choices, then action
 prefixes, with plain actions and process variables as leaves.
+
+Nodes are frozen and slotted, so callers cannot attach attributes to
+them. Each node's printed form is computed once, from its children's
+printed forms, and cached on the node; printing a tree again, or a new
+tree built around already printed subtrees, renders only the new nodes.
 """
 
 from __future__ import annotations
@@ -63,16 +68,32 @@ def _check_rate(rate: Rate) -> Rate:
     raise ValueError(f"rate must be a positive finite number or INF: {rate!r}")
 
 
-@dataclass(frozen=True)
-class Nil:
-    """The terminated process ``0``."""
+@dataclass(frozen=True, slots=True)
+class _Term:
+    """Shared base of the process constructors.
+
+    The two fields are caches that take no part in construction,
+    equality, hashing or ``repr``: ``_key`` holds the node's printed
+    form once `pretty_print` has computed it, and ``_canonical`` marks
+    a node that `canonicalize` returned, so that later canonicalizations
+    can hand it back untouched. Both are written only by those two
+    functions.
+    """
+
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
+    _canonical: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return pretty_print(self)
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, slots=True)
+class Nil(_Term):
+    """The terminated process ``0``."""
+
+
+@dataclass(frozen=True, slots=True)
+class Var(_Term):
     """A reference to a named process definition."""
 
     name: str
@@ -80,12 +101,9 @@ class Var:
     def __post_init__(self) -> None:
         _check_name(self.name, "process variable name")
 
-    def __str__(self) -> str:
-        return pretty_print(self)
 
-
-@dataclass(frozen=True)
-class Prefix:
+@dataclass(frozen=True, slots=True)
+class Prefix(_Term):
     """``<a,r>.P``: perform action ``a`` at rate ``r``, then behave as P.
 
     An undecorated action ``a`` is the same node with an infinite rate,
@@ -100,45 +118,33 @@ class Prefix:
         _check_name(self.action, "action name")
         object.__setattr__(self, "rate", _check_rate(self.rate))
 
-    def __str__(self) -> str:
-        return pretty_print(self)
 
-
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, slots=True)
+class Seq(_Term):
     """``P;Q``: behave as P until it terminates, then as Q."""
 
     left: Process
     right: Process
 
-    def __str__(self) -> str:
-        return pretty_print(self)
 
-
-@dataclass(frozen=True)
-class IntChoice:
+@dataclass(frozen=True, slots=True)
+class IntChoice(_Term):
     """``P - Q``: internal choice, resolved by the system before timing."""
 
     left: Process
     right: Process
 
-    def __str__(self) -> str:
-        return pretty_print(self)
 
-
-@dataclass(frozen=True)
-class ExtChoice:
+@dataclass(frozen=True, slots=True)
+class ExtChoice(_Term):
     """``P + Q``: external choice, resolved by whichever action occurs."""
 
     left: Process
     right: Process
 
-    def __str__(self) -> str:
-        return pretty_print(self)
 
-
-@dataclass(frozen=True)
-class ProbChoice:
+@dataclass(frozen=True, slots=True)
+class ProbChoice(_Term):
     """``P *{r} Q``: behave as P with probability r, as Q with 1-r."""
 
     prob: float
@@ -154,12 +160,9 @@ class ProbChoice:
             raise ValueError(f"probability outside [0,1]: {value!r}")
         object.__setattr__(self, "prob", value)
 
-    def __str__(self) -> str:
-        return pretty_print(self)
 
-
-@dataclass(frozen=True)
-class Par:
+@dataclass(frozen=True, slots=True)
+class Par(_Term):
     """``P ||{A} Q``: parallel composition synchronizing on the actions
     in A; all other actions interleave."""
 
@@ -172,9 +175,6 @@ class Par:
         for name in names:
             _check_name(name, "synchronization action name")
         object.__setattr__(self, "sync", names)
-
-    def __str__(self) -> str:
-        return pretty_print(self)
 
 
 Process: TypeAlias = Union[Nil, Var, Prefix, Seq, IntChoice, ExtChoice, ProbChoice, Par]
@@ -259,34 +259,71 @@ def pretty_print(p: Process) -> str:
     Sync sets print sorted, numbers in shortest round-trip form, the
     infinite rate as ``inf``; a prefix with an infinite rate prints
     undecorated (``a.P`` rather than ``<a,inf>.P``).
+
+    The result is cached on every node rendered on the way, so each
+    node object is rendered once. Nodes are filled bottom-up with an
+    explicit stack, which bounds the depth of a printable term by
+    memory only.
     """
-    return _pp(p, _SEQ)
-
-
-def _pp(p: Process, min_level: int) -> str:
-    if _LEVEL[type(p)] < min_level:
-        return "(" + _pp(p, _SEQ) + ")"
-    if isinstance(p, Nil):
-        return "0"
-    if isinstance(p, Var):
+    try:
+        key = p._key
+    except AttributeError:
+        raise TypeError(f"not a Process: {p!r}") from None
+    if key is not None:
+        return key
+    if type(p) is Var:
         return p.name
-    if isinstance(p, Prefix):
+    stack = [p]
+    while stack:
+        node = stack[-1]
+        if node._key is not None:
+            # Reached twice through a shared subtree.
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is Prefix:
+            children = (node.continuation,)
+        elif kind is Nil:
+            children = ()
+        else:
+            children = (node.left, node.right)
+        pending = [c for c in children if c._key is None and type(c) is not Var]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        object.__setattr__(node, "_key", _render(node))
+    return p._key
+
+
+def _render(p: Process) -> str:
+    """``p``'s printed form, from the printed forms of its children."""
+    kind = type(p)
+    if kind is Nil:
+        return "0"
+    if kind is Prefix:
         if isinstance(p.rate, Infinite):
             head = p.action
         else:
             head = f"<{p.action},{format_number(p.rate)}>"
-        return head + "." + _pp(p.continuation, _PREFIX)
-    if isinstance(p, Seq):
+        return head + "." + _operand(p.continuation, _PREFIX)
+    if kind is Seq:
         # ';' is right-associative: a Seq as left child needs parentheses.
-        return _pp(p.left, _PAR) + ";" + _pp(p.right, _SEQ)
-    if isinstance(p, Par):
-        sync = ",".join(sorted(p.sync))
-        return _pp(p.left, _PAR) + "||{" + sync + "}" + _pp(p.right, _CHOICE)
-    if isinstance(p, IntChoice):
-        return _pp(p.left, _CHOICE) + "-" + _pp(p.right, _PREFIX)
-    if isinstance(p, ExtChoice):
-        return _pp(p.left, _CHOICE) + "+" + _pp(p.right, _PREFIX)
-    if isinstance(p, ProbChoice):
+        return _operand(p.left, _PAR) + ";" + _operand(p.right, _SEQ)
+    if kind is Par:
+        op = "||{" + ",".join(sorted(p.sync)) + "}"
+        return _operand(p.left, _PAR) + op + _operand(p.right, _CHOICE)
+    if kind is IntChoice:
+        op = "-"
+    elif kind is ExtChoice:
+        op = "+"
+    else:
         op = "*{" + format_number(p.prob) + "}"
-        return _pp(p.left, _CHOICE) + op + _pp(p.right, _PREFIX)
-    raise TypeError(f"not a Process: {p!r}")
+    return _operand(p.left, _CHOICE) + op + _operand(p.right, _PREFIX)
+
+
+def _operand(p: Process, min_level: int) -> str:
+    """The printed form of child ``p``, parenthesized when it binds
+    looser than its context requires."""
+    text = p.name if type(p) is Var else p._key
+    return "(" + text + ")" if _LEVEL[type(p)] < min_level else text

@@ -7,6 +7,7 @@ import random
 from rosa_lts import (
     INF,
     NIL,
+    DefinitionEnv,
     ExtChoice,
     IntChoice,
     Par,
@@ -19,6 +20,16 @@ from rosa_lts import (
 
 ACTIONS = ["a", "b", "c", "d", "e"]
 VAR_NAMES = ["P", "Q", "X"]
+
+# Guarded, mutually recursive bodies for VAR_NAMES, so that processes
+# generated with allow_var=True can be canonicalized and built.
+VAR_ENV = DefinitionEnv(
+    bindings={
+        "P": Prefix("a", 1.0, Var("P")),
+        "Q": ExtChoice(Prefix("b", INF, Var("Q")), Var("P")),
+        "X": Par(frozenset({"a"}), Var("P"), Prefix("c", 0.5, Var("X"))),
+    }
+)
 
 # rates whose repr round-trips cleanly and that exercise min-rate sync
 RATES = [0.1, 0.3, 0.5, 1.0, 2.5, 10.0]

@@ -18,9 +18,10 @@ from rosa_lts import (
     Var,
     canonical_key,
     canonicalize,
+    parse_process_text,
     pretty_print,
 )
-from gen import gen_process
+from gen import VAR_ENV, gen_process
 
 EMPTY = DefinitionEnv(bindings={})
 
@@ -112,10 +113,35 @@ def test_keys_identify_commuted_spellings():
 
 def test_canonicalize_is_idempotent_on_random_processes():
     rng = random.Random(7)
-    for _ in range(200):
-        p = gen_process(rng, depth=4, dyadic=True)
-        once = canonicalize(p, EMPTY)
-        assert canonicalize(once, EMPTY) == once
+    for env, allow_var in ((EMPTY, False), (VAR_ENV, True)):
+        for _ in range(200):
+            p = gen_process(rng, depth=4, allow_var=allow_var, dyadic=True)
+            once = canonicalize(p, env)
+            # its own output comes back as the very same object
+            assert canonicalize(once, env) is once
+            # and equals what a cache-free copy canonicalizes to
+            fresh = parse_process_text(pretty_print(once))
+            assert canonicalize(fresh, env) == once
+
+
+def test_canonical_subtrees_are_reused_in_new_contexts():
+    rng = random.Random(12)
+    for _ in range(100):
+        parts = [
+            canonicalize(gen_process(rng, depth=3, allow_var=True), VAR_ENV)
+            for _ in range(2)
+        ]
+        copies = [parse_process_text(pretty_print(q)) for q in parts]
+        sync = frozenset({"a", "b"})
+        for build in (
+            lambda l, r: Par(sync, l, r),
+            lambda l, r: ExtChoice(r, l),
+            lambda l, r: Seq(l, Prefix("x", INF, r)),
+            lambda l, r: ProbChoice(0.25, r, l),
+        ):
+            reused = canonicalize(build(*parts), VAR_ENV)
+            assert reused == canonicalize(build(*copies), VAR_ENV)
+            assert canonicalize(reused, VAR_ENV) is reused
 
 
 def test_swap_invariance_on_random_operands():
@@ -140,6 +166,35 @@ def test_swap_invariance_on_random_operands():
                 ProbChoice(1.0 - r, right, left), EMPTY
             )
         checked += 1
+
+
+def test_swap_invariance_with_variables():
+    rng = random.Random(13)
+    sync = frozenset({"a"})
+    for _ in range(200):
+        left = gen_process(rng, depth=3, allow_var=True, dyadic=True)
+        right = gen_process(rng, depth=3, allow_var=True, dyadic=True)
+        for build in (
+            ExtChoice,
+            IntChoice,
+            lambda l, r: Par(sync, l, r),
+            # a commuted pair under a guard and on the right of ';'
+            lambda l, r: Prefix("x", INF, ExtChoice(l, r)),
+            lambda l, r: Seq(a(), IntChoice(l, r)),
+        ):
+            assert canonical_key(build(left, right), VAR_ENV) == canonical_key(
+                build(right, left), VAR_ENV
+            )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="S4 cannot orient P*{r}Q when P and Q have equal keys",
+)
+def test_prob_choice_of_equal_operands_is_orientation_free():
+    assert canonical_key(ProbChoice(0.25, NIL, NIL), EMPTY) == canonical_key(
+        ProbChoice(0.75, NIL, NIL), EMPTY
+    )
 
 
 def test_canonical_forms_print_without_information_loss():

@@ -2,6 +2,8 @@
 
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -109,3 +111,39 @@ def test_reads_stdin_dash(monkeypatch, capsys):
 def test_missing_file(tmp_path, capsys):
     assert main([str(tmp_path / "absent.rosa")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+DEEP_INPUTS = {
+    # the parser's recursion gives out
+    "prefix_chain": ".".join(f"a{i % 5}" for i in range(3000)) + ".0\n",
+    # parses definition by definition; canonicalization unfolds them
+    # into one 600-level choice
+    "unfolded_choice": "".join(f"P{i} = P{i + 1} + b{i}\n" for i in range(600))
+    + "P600 = 0\nmain = P0\n",
+}
+
+
+@pytest.mark.parametrize("source", DEEP_INPUTS.values(), ids=DEEP_INPUTS.keys())
+def test_deep_input_is_a_one_line_error(tmp_path, capsys, source):
+    path = tmp_path / "deep.rosa"
+    path.write_text(source, encoding="utf-8")
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: input nested too deeply\n"
+    assert captured.out == ""
+
+
+def test_490_action_chain_still_builds(tmp_path):
+    # Run as its own process so that the test runner's frames do not
+    # count against the depth the command itself reaches.
+    path = tmp_path / "chain.rosa"
+    path.write_text(
+        ".".join(f"<a{i % 5},1.5>" for i in range(490)) + ".0\n", encoding="utf-8"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "rosa_lts.cli", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "nodes: 491\nedges: 490\n" in proc.stdout

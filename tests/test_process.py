@@ -1,5 +1,7 @@
 """AST construction, validation and printing."""
 
+import random
+
 import pytest
 
 from rosa_lts import (
@@ -16,10 +18,13 @@ from rosa_lts import (
     Seq,
     UnboundVariable,
     Var,
+    canonicalize,
+    parse_process_text,
     pretty_print,
     structural_equal,
 )
 from rosa_lts.process import format_number, format_rate
+from gen import VAR_ENV, gen_process
 
 
 def a(name="a", cont=NIL):
@@ -122,3 +127,51 @@ def test_for_process_wraps_under_main():
     env = DefinitionEnv.for_process(NIL)
     assert env.root == "main"
     assert isinstance(env.root_process(), Nil)
+
+
+def test_cached_key_is_invisible_to_equality_hash_and_repr():
+    rng = random.Random(11)
+    for _ in range(100):
+        p = gen_process(rng, depth=4, allow_var=True)
+        printed = repr(p)
+        # fills the caches of p and of the nodes below it
+        text = pretty_print(p)
+        canonicalize(p, VAR_ENV)
+        # the same tree rebuilt with no cache filled
+        fresh = parse_process_text(text)
+        assert p == fresh and fresh == p
+        assert hash(p) == hash(fresh)
+        assert repr(p) == printed == repr(fresh)
+
+
+def test_nodes_are_slotted_and_frozen():
+    p = a("b")
+    assert not hasattr(p, "__dict__")
+    # FrozenInstanceError, or TypeError on Python versions whose frozen
+    # __setattr__ mishandles slotted classes
+    with pytest.raises((AttributeError, TypeError)):
+        p.note = 1
+    with pytest.raises(AttributeError):
+        p.action = "c"
+    assert Prefix.__match_args__ == ("action", "rate", "continuation")
+    assert Prefix("b", INF, NIL) == Prefix(action="b", rate=INF, continuation=NIL)
+
+
+def test_shared_subtrees_print_once_in_each_position():
+    shared = ExtChoice(a("x"), a("y"))
+    p = Par(frozenset(), IntChoice(shared, shared), Prefix("z", INF, shared))
+    assert pretty_print(p) == "x.0+y.0-(x.0+y.0)||{}z.(x.0+y.0)"
+    assert str(shared) == "x.0+y.0"
+
+
+def test_pretty_print_of_a_deep_chain_does_not_recurse():
+    depth = 10_000
+    chain = NIL
+    for _ in range(depth):
+        chain = Prefix("a", INF, chain)
+    assert pretty_print(chain) == "a." * depth + "0"
+
+
+def test_pretty_print_rejects_non_processes():
+    with pytest.raises(TypeError):
+        pretty_print("a.0")
