@@ -28,13 +28,10 @@ from .semantics import (
 @dataclass
 class BuildConfig:
     max_states: int = 100_000
-    max_unfold: int = 1024
 
     def __post_init__(self) -> None:
         if self.max_states < 1:
             raise ValueError("max_states must be positive")
-        if self.max_unfold < 1:
-            raise ValueError("max_unfold must be positive")
 
 
 @dataclass(frozen=True)
@@ -104,14 +101,14 @@ class LtsBuilder:
             id=len(self.nodes),
             process=canonical,
             key=key,
-            kind=classify(canonical, self.env, self.config.max_unfold),
+            kind=classify(canonical, self.env),
         )
         self.nodes.append(node)
         self._id_by_key[key] = node.id
         return node.id, True
 
     def _admit(self, produced: Process) -> tuple[int, bool]:
-        canonical = canonicalize(produced, self.env, self.config.max_unfold)
+        canonical = canonicalize(produced, self.env)
         if self.canonical_keys:
             key = pretty_print(canonical)
         else:
@@ -138,19 +135,15 @@ class LtsBuilder:
         """Expand the next frontier node; False when the state limit was
         hit (the edges admitted so far are kept)."""
         node = self.nodes[queue.popleft()]
-        env, unfold = self.env, self.config.max_unfold
+        env = self.env
         try:
             if node.kind == NodeKind.ND_UNSTABLE:
-                self._add_plain(
-                    node.id, nd_successors(node.process, env, unfold), queue
-                )
+                self._add_plain(node.id, nd_successors(node.process, env), queue)
             elif node.kind == NodeKind.PROB_UNSTABLE:
-                self._add_prob(
-                    node.id, prob_successors(node.process, env, unfold), queue
-                )
+                self._add_prob(node.id, prob_successors(node.process, env), queue)
             elif node.kind == NodeKind.ACTION_ENABLED:
                 self._add_plain(
-                    node.id, action_successors(node.process, env, unfold), queue
+                    node.id, action_successors(node.process, env), queue
                 )
             # Deadlock and Success nodes have no successors.
         except StateLimit:

@@ -6,10 +6,11 @@ The rewrite system, applied innermost-first to a fixed point:
   S2  0 ||{A} 0      -> 0            (any sync set)
   S3  P-P -> P,  P+P -> P            (after canonicalizing operands)
   S4  operands of -, + and ||{A} sorted by key; P*{r}Q with the bigger
-      key first becomes Q*{1-r}P
+      key first becomes Q*{1-r}P, and P*{r}P becomes P*{0.5}P, one
+      exact form for every r
   S5  P*{1}Q -> P,  P*{0}Q -> Q      (applied before the dead branch is
-                                      visited, so unreachable operands
-                                      cannot fail the unfold budget)
+                                      visited, so an unreachable operand
+                                      is never unfolded)
 
 Each rule preserves strong bisimilarity, so merging states with equal
 keys never changes the behaviour of the transition system.
@@ -17,8 +18,9 @@ keys never changes the behaviour of the transition system.
 Variables in unguarded positions (the root, operands of choices and
 parallel, the left of ';') are unfolded so that a definition and its
 body get the same key; variables under an action guard stay folded,
-which keeps keys finite for recursive definitions. The shared unfold
-budget turns unguarded recursion into an error.
+which keeps keys finite for recursive definitions. As in the
+semantics, each path carries the names it has unfolded since the last
+guard, and a name that comes back raises UnguardedRecursion.
 
 Operands are ordered, and S3 detected, by comparing keys, which each
 node computes once and caches (see `pretty_print`); printing is
@@ -47,25 +49,21 @@ from .process import (
     Var,
     pretty_print,
 )
-from .semantics import DEFAULT_MAX_UNFOLD, _Budget, _unfold
+from .semantics import _unfold
 
 
-def canonicalize(
-    p: Process, env: DefinitionEnv, max_unfold: int = DEFAULT_MAX_UNFOLD
-) -> Process:
+def canonicalize(p: Process, env: DefinitionEnv) -> Process:
     """The unique fixed point of the rewrite system above."""
-    return _canon(p, env, _Budget(max_unfold), guarded=False)
+    return _canon(p, env, (), guarded=False)
 
 
-def canonical_key(
-    p: Process, env: DefinitionEnv, max_unfold: int = DEFAULT_MAX_UNFOLD
-) -> str:
+def canonical_key(p: Process, env: DefinitionEnv) -> str:
     """Printed canonical form; equal keys iff equal canonical forms."""
-    return pretty_print(canonicalize(p, env, max_unfold))
+    return pretty_print(canonicalize(p, env))
 
 
 def _canon(
-    p: Process, env: DefinitionEnv, budget: _Budget, guarded: bool
+    p: Process, env: DefinitionEnv, open_: tuple[str, ...], guarded: bool
 ) -> Process:
     # Marked below: a fixed point under either flag (module docstring).
     if p._canonical:
@@ -74,26 +72,28 @@ def _canon(
     if kind is Var:
         if guarded:
             return p
-        q = _canon(_unfold(p, env, budget), env, budget, guarded=False)
+        body, open_ = _unfold(p, env, open_)
+        q = _canon(body, env, open_, guarded=False)
     elif kind is Nil:
         q = p
     elif kind is Prefix:
-        cont = _canon(p.continuation, env, budget, guarded=True)
+        # Guarded positions unfold nothing, so they start no path.
+        cont = _canon(p.continuation, env, (), guarded=True)
         q = p if cont is p.continuation else Prefix(p.action, p.rate, cont)
     elif kind is Seq:
-        left = _canon(p.left, env, budget, guarded)
+        left = _canon(p.left, env, open_, guarded)
         if type(left) is Nil:
             # S1 exposes the right operand at this position.
-            q = _canon(p.right, env, budget, guarded)
+            q = _canon(p.right, env, open_, guarded)
         else:
-            right = _canon(p.right, env, budget, guarded=True)
+            right = _canon(p.right, env, (), guarded=True)
             if left is p.left and right is p.right:
                 q = p
             else:
                 q = Seq(left, right)
     elif kind is IntChoice or kind is ExtChoice:
-        left = _canon(p.left, env, budget, guarded)
-        right = _canon(p.right, env, budget, guarded)
+        left = _canon(p.left, env, open_, guarded)
+        right = _canon(p.right, env, open_, guarded)
         left_key, right_key = pretty_print(left), pretty_print(right)
         if left_key == right_key:
             q = left
@@ -105,13 +105,17 @@ def _canon(
             q = kind(left, right)
     elif kind is ProbChoice:
         if p.prob == 1.0:
-            q = _canon(p.left, env, budget, guarded)
+            q = _canon(p.left, env, open_, guarded)
         elif p.prob == 0.0:
-            q = _canon(p.right, env, budget, guarded)
+            q = _canon(p.right, env, open_, guarded)
         else:
-            left = _canon(p.left, env, budget, guarded)
-            right = _canon(p.right, env, budget, guarded)
-            if pretty_print(right) < pretty_print(left):
+            left = _canon(p.left, env, open_, guarded)
+            right = _canon(p.right, env, open_, guarded)
+            left_key, right_key = pretty_print(left), pretty_print(right)
+            if left_key == right_key and p.prob != 0.5:
+                # Equal operands leave no order to pick r or 1-r by.
+                q = ProbChoice(0.5, left, left)
+            elif right_key < left_key:
                 prob = 1.0 - p.prob
                 q = right if prob == 1.0 else ProbChoice(prob, right, left)
             elif left is p.left and right is p.right:
@@ -119,8 +123,8 @@ def _canon(
             else:
                 q = ProbChoice(p.prob, left, right)
     elif kind is Par:
-        left = _canon(p.left, env, budget, guarded)
-        right = _canon(p.right, env, budget, guarded)
+        left = _canon(p.left, env, open_, guarded)
+        right = _canon(p.right, env, open_, guarded)
         if type(left) is Nil and type(right) is Nil:
             q = NIL
         elif pretty_print(right) < pretty_print(left):

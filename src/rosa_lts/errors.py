@@ -70,11 +70,14 @@ class UnboundVariable(RosaError):
 
 
 class UnguardedRecursion(RosaError):
-    """Unfolding a definition never reached an action guard within budget
-    (e.g. ``P = P``)."""
+    """A definition that unfolds back to itself without passing an action
+    guard (e.g. ``P = P`` or ``P = 0;P``).
 
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(
-            f"unguarded recursion detected while unfolding {name!r}"
-        )
+    ``cycle`` lists the names in unfolding order and ends with the first
+    one again; ``name`` is that repeated name.
+    """
+
+    def __init__(self, cycle: tuple[str, ...]):
+        self.cycle = cycle
+        self.name = cycle[0]
+        super().__init__("unguarded recursion: " + " -> ".join(cycle))

@@ -211,11 +211,6 @@ class DefinitionEnv:
         return cls(bindings={MAIN_NAME: process}, root=MAIN_NAME)
 
 
-def lookup(env: DefinitionEnv, name: str) -> Process:
-    """Free-function spelling of :meth:`DefinitionEnv.lookup`."""
-    return env.lookup(name)
-
-
 def structural_equal(p: Process, q: Process) -> bool:
     """True iff the two trees are identical: same constructors, names,
     exact numeric values, equal synchronization sets.

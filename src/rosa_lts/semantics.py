@@ -7,10 +7,13 @@ probabilities), and only a process stable under both runs timed actions.
 `classify` is the dispatcher; the three `*_successors` functions are the
 rule families.
 
-Recursion through process variables must pass an action guard. Every
-entry point takes an unfold budget; a shared countdown across one call
-turns diverging definitions (``P = P``, or mutually unguarded pairs)
-into an UnguardedRecursion error instead of a hang.
+Recursion through process variables must pass an action guard. The
+walkers never descend below a prefix, so each carries the names it has
+unfolded on its current path (each operand gets its own path). Meeting
+one of them again means the walk would repeat itself forever, so
+exactly then it raises UnguardedRecursion naming the cycle (``P = P``,
+``P = 0;P``, or ``P = Q||{}0`` with ``Q = P+a.0``). Sibling operands
+and separate calls share nothing, so no count of unfolds can run out.
 """
 
 from __future__ import annotations
@@ -34,10 +37,6 @@ from .process import (
     Seq,
     Var,
 )
-
-#: Default unfold budget; enough for any sane definition file, small
-#: enough to diagnose unguarded recursion quickly.
-DEFAULT_MAX_UNFOLD = 1024
 
 #: Slack for probability sums accumulated from branch products.
 PROB_TOLERANCE = 1e-9
@@ -87,31 +86,24 @@ class NodeKind(enum.Enum):
     SUCCESS = "success"
 
 
-class _Budget:
-    """Shared unfold countdown for one semantic operation."""
-
-    __slots__ = ("remaining",)
-
-    def __init__(self, remaining: int):
-        self.remaining = remaining
-
-    def spend(self, name: str) -> None:
-        if self.remaining <= 0:
-            raise UnguardedRecursion(name)
-        self.remaining -= 1
-
-
-def _unfold(p: Process, env: DefinitionEnv, budget: _Budget) -> Process:
+def _unfold(
+    p: Process, env: DefinitionEnv, open_: tuple[str, ...]
+) -> tuple[Process, tuple[str, ...]]:
+    """Unfold root variables of ``p``; ``open_`` holds the names already
+    unfolded on this path since the last action guard."""
     while isinstance(p, Var):
-        budget.spend(p.name)
-        p = env.lookup(p.name)
-    return p
+        name = p.name
+        if name in open_:
+            raise UnguardedRecursion(open_[open_.index(name):] + (name,))
+        open_ += (name,)
+        p = env.lookup(name)
+    return p, open_
 
 
-def unfold(p: Process, env: DefinitionEnv, budget: int = DEFAULT_MAX_UNFOLD) -> Process:
+def unfold(p: Process, env: DefinitionEnv) -> Process:
     """Replace a root-position variable by its binding until the root is
-    a real constructor; each replacement costs one unit of ``budget``."""
-    return _unfold(p, env, _Budget(budget))
+    a real constructor; a name that comes back is unguarded recursion."""
+    return _unfold(p, env, ())[0]
 
 
 def sync_rate(alpha: Rate, beta: Rate) -> Rate:
@@ -131,36 +123,34 @@ def sync_rate(alpha: Rate, beta: Rate) -> Rate:
 # left), and through variables. Nothing below a prefix counts.
 
 
-def _ds(p: Process, env: DefinitionEnv, budget: _Budget) -> bool:
-    p = _unfold(p, env, budget)
+def _ds(p: Process, env: DefinitionEnv, open_: tuple[str, ...]) -> bool:
+    p, open_ = _unfold(p, env, open_)
     if isinstance(p, (Nil, Prefix)):
         return True
     if isinstance(p, IntChoice):
         return False
     if isinstance(p, (ExtChoice, ProbChoice, Par)):
-        return _ds(p.left, env, budget) and _ds(p.right, env, budget)
+        return _ds(p.left, env, open_) and _ds(p.right, env, open_)
     if isinstance(p, Seq):
-        return _ds(p.left, env, budget)
+        return _ds(p.left, env, open_)
     raise TypeError(f"not a Process: {p!r}")
 
 
-def is_det_stable(
-    p: Process, env: DefinitionEnv, max_unfold: int = DEFAULT_MAX_UNFOLD
-) -> bool:
+def is_det_stable(p: Process, env: DefinitionEnv) -> bool:
     """False iff ``p`` contains an unguarded internal choice."""
-    return _ds(p, env, _Budget(max_unfold))
+    return _ds(p, env, ())
 
 
-def _ps(p: Process, env: DefinitionEnv, budget: _Budget) -> bool:
-    p = _unfold(p, env, budget)
+def _ps(p: Process, env: DefinitionEnv, open_: tuple[str, ...]) -> bool:
+    p, open_ = _unfold(p, env, open_)
     if isinstance(p, (Nil, Prefix)):
         return True
     if isinstance(p, ProbChoice):
         return False
     if isinstance(p, (ExtChoice, Par)):
-        return _ps(p.left, env, budget) and _ps(p.right, env, budget)
+        return _ps(p.left, env, open_) and _ps(p.right, env, open_)
     if isinstance(p, Seq):
-        return _ps(p.left, env, budget)
+        return _ps(p.left, env, open_)
     if isinstance(p, IntChoice):
         raise ValueError(
             "probabilistic stability is only defined for deterministically "
@@ -169,34 +159,34 @@ def _ps(p: Process, env: DefinitionEnv, budget: _Budget) -> bool:
     raise TypeError(f"not a Process: {p!r}")
 
 
-def is_prob_stable(
-    p: Process, env: DefinitionEnv, max_unfold: int = DEFAULT_MAX_UNFOLD
-) -> bool:
+def is_prob_stable(p: Process, env: DefinitionEnv) -> bool:
     """False iff ``p`` contains an unguarded probabilistic choice.
     Requires ``is_det_stable(p, env)``."""
-    return _ps(p, env, _Budget(max_unfold))
+    return _ps(p, env, ())
 
 
 # non-deterministic rules ---------------------------------------------
 
 
-def _nd(p: Process, env: DefinitionEnv, budget: _Budget) -> list[tuple[str, Process]]:
+def _nd(
+    p: Process, env: DefinitionEnv, open_: tuple[str, ...]
+) -> list[tuple[str, Process]]:
     if isinstance(p, IntChoice):
         return [("L", p.left), ("R", p.right)]
     out: list[tuple[str, Process]] = []
     if isinstance(p, (ExtChoice, ProbChoice, Par)):
-        left = _unfold(p.left, env, budget)
-        if not _ds(left, env, budget):
-            for path, s in _nd(left, env, budget):
+        left, left_open = _unfold(p.left, env, open_)
+        if not _ds(left, env, left_open):
+            for path, s in _nd(left, env, left_open):
                 out.append(("L." + path, _rebuild(p, s, p.right)))
-        right = _unfold(p.right, env, budget)
-        if not _ds(right, env, budget):
-            for path, s in _nd(right, env, budget):
+        right, right_open = _unfold(p.right, env, open_)
+        if not _ds(right, env, right_open):
+            for path, s in _nd(right, env, right_open):
                 out.append(("R." + path, _rebuild(p, p.left, s)))
         return out
     if isinstance(p, Seq):
-        left = _unfold(p.left, env, budget)
-        for path, s in _nd(left, env, budget):
+        left, left_open = _unfold(p.left, env, open_)
+        for path, s in _nd(left, env, left_open):
             out.append(("L." + path, Seq(s, p.right)))
         return out
     raise ValueError(
@@ -218,7 +208,7 @@ def _rebuild(template: Process, left: Process, right: Process) -> Process:
 
 
 def nd_successors(
-    p: Process, env: DefinitionEnv, max_unfold: int = DEFAULT_MAX_UNFOLD
+    p: Process, env: DefinitionEnv
 ) -> list[tuple[NdBranch, Process]]:
     """Resolve one unguarded internal choice per successor.
 
@@ -227,47 +217,46 @@ def nd_successors(
     surrounding context, label path prefixed with the operand side, and
     stable operands are left untouched.
     """
-    budget = _Budget(max_unfold)
-    p0 = _unfold(p, env, budget)
-    return [(NdBranch(path), s) for path, s in _nd(p0, env, budget)]
+    p0, open_ = _unfold(p, env, ())
+    return [(NdBranch(path), s) for path, s in _nd(p0, env, open_)]
 
 
 # probabilistic rules -------------------------------------------------
 
 
 def _presolve(
-    p: Process, env: DefinitionEnv, budget: _Budget
+    p: Process, env: DefinitionEnv, open_: tuple[str, ...]
 ) -> list[tuple[float, Process]]:
-    if _ps(p, env, budget):
+    if _ps(p, env, open_):
         return [(1.0, p)]
-    p = _unfold(p, env, budget)
+    p, open_ = _unfold(p, env, open_)
     if isinstance(p, ProbChoice):
         out: list[tuple[float, Process]] = []
         if p.prob > 0.0:
             out.extend(
-                (p.prob * w, s) for w, s in _presolve(p.left, env, budget)
+                (p.prob * w, s) for w, s in _presolve(p.left, env, open_)
             )
         if 1.0 - p.prob > 0.0:
             out.extend(
                 ((1.0 - p.prob) * w, s)
-                for w, s in _presolve(p.right, env, budget)
+                for w, s in _presolve(p.right, env, open_)
             )
         return [(w, s) for w, s in out if w > 0.0]
     if isinstance(p, (ExtChoice, Par)):
         return [
             (wl * wr, _rebuild(p, sl, sr))
-            for wl, sl in _presolve(p.left, env, budget)
-            for wr, sr in _presolve(p.right, env, budget)
+            for wl, sl in _presolve(p.left, env, open_)
+            for wr, sr in _presolve(p.right, env, open_)
         ]
     if isinstance(p, Seq):
         return [
-            (w, Seq(s, p.right)) for w, s in _presolve(p.left, env, budget)
+            (w, Seq(s, p.right)) for w, s in _presolve(p.left, env, open_)
         ]
     raise ValueError(f"unexpected probabilistically unstable node: {p}")
 
 
 def prob_successors(
-    p: Process, env: DefinitionEnv, max_unfold: int = DEFAULT_MAX_UNFOLD
+    p: Process, env: DefinitionEnv
 ) -> list[tuple[Prob, Process]]:
     """Resolve every unguarded probabilistic choice at once.
 
@@ -276,37 +265,36 @@ def prob_successors(
     probabilities, zero-probability branches are dropped, and the
     returned probabilities sum to 1 within PROB_TOLERANCE.
     """
-    budget = _Budget(max_unfold)
-    p0 = _unfold(p, env, budget)
-    if _ps(p0, env, budget):
+    p0, open_ = _unfold(p, env, ())
+    if _ps(p0, env, open_):
         raise ValueError(
             "prob_successors requires a probabilistically unstable process, "
             f"got {p0}"
         )
-    return [(Prob(w), s) for w, s in _presolve(p0, env, budget)]
+    return [(Prob(w), s) for w, s in _presolve(p0, env, open_)]
 
 
 # action rules --------------------------------------------------------
 
 
 def _act(
-    p: Process, env: DefinitionEnv, budget: _Budget
+    p: Process, env: DefinitionEnv, open_: tuple[str, ...]
 ) -> list[tuple[Action, Process]]:
-    p = _unfold(p, env, budget)
+    p, open_ = _unfold(p, env, open_)
     if isinstance(p, Nil):
         return []
     if isinstance(p, Prefix):
         return [(Action(p.action, p.rate), p.continuation)]
     if isinstance(p, ExtChoice):
-        return _act(p.left, env, budget) + _act(p.right, env, budget)
+        return _act(p.left, env, open_) + _act(p.right, env, open_)
     if isinstance(p, Seq):
         return [
             (label, Seq(s, p.right))
-            for label, s in _act(p.left, env, budget)
+            for label, s in _act(p.left, env, open_)
         ]
     if isinstance(p, Par):
-        pmoves = _act(p.left, env, budget)
-        qmoves = _act(p.right, env, budget)
+        pmoves = _act(p.left, env, open_)
+        qmoves = _act(p.right, env, open_)
         out: list[tuple[Action, Process]] = []
         for label, s in pmoves:
             if label.name not in p.sync:
@@ -328,7 +316,7 @@ def _act(
 
 
 def action_successors(
-    p: Process, env: DefinitionEnv, max_unfold: int = DEFAULT_MAX_UNFOLD
+    p: Process, env: DefinitionEnv
 ) -> list[tuple[Action, Process]]:
     """All single-step timed transitions of a stable process.
 
@@ -339,24 +327,21 @@ def action_successors(
     for parallel first left interleavings, then right, then joint moves.
     The empty result is a deadlock.
     """
-    return _act(p, env, _Budget(max_unfold))
+    return _act(p, env, ())
 
 
-def classify(
-    p: Process, env: DefinitionEnv, max_unfold: int = DEFAULT_MAX_UNFOLD
-) -> NodeKind:
+def classify(p: Process, env: DefinitionEnv) -> NodeKind:
     """Which layer applies, checked in the fixed dispatch order:
     nd-unstable, else prob-unstable, else terminated, else has timed
     moves, else deadlocked. Expects canonical input (a terminated
     process is literally Nil)."""
-    budget = _Budget(max_unfold)
-    p0 = _unfold(p, env, budget)
-    if not _ds(p0, env, budget):
+    p0, open_ = _unfold(p, env, ())
+    if not _ds(p0, env, open_):
         return NodeKind.ND_UNSTABLE
-    if not _ps(p0, env, budget):
+    if not _ps(p0, env, open_):
         return NodeKind.PROB_UNSTABLE
     if isinstance(p0, Nil):
         return NodeKind.SUCCESS
-    if _act(p0, env, budget):
+    if _act(p0, env, open_):
         return NodeKind.ACTION_ENABLED
     return NodeKind.DEADLOCK

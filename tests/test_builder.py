@@ -157,11 +157,26 @@ def test_unbound_variable_surfaces():
         build_lts(env)
 
 
+def test_many_guarded_definitions_in_one_choice_build():
+    # Unfolding 1,100 sibling variables in one canonicalize call is not
+    # recursion: each operand is its own path.
+    def choice(names):
+        if len(names) == 1:
+            return Var(names[0])
+        mid = len(names) // 2
+        return ExtChoice(choice(names[:mid]), choice(names[mid:]))
+
+    names = [f"P{i}" for i in range(1100)]
+    bindings = {name: Prefix(f"a{i}", 1.0, NIL) for i, name in enumerate(names)}
+    bindings["main"] = choice(names)
+    lts = build_lts(DefinitionEnv(bindings=bindings))
+    assert len(lts.nodes) == 2
+    assert len(lts.edges) == 1100
+
+
 def test_build_config_rejects_nonpositive_limits():
     with pytest.raises(ValueError):
         BuildConfig(max_states=0)
-    with pytest.raises(ValueError):
-        BuildConfig(max_unfold=0)
 
 
 def test_random_builds_satisfy_graph_invariants():

@@ -72,11 +72,22 @@ def test_duplicate_definition_is_a_validation_failure(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unguarded_recursion_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "source, cycle",
+    [
+        ("P = P\n", "P -> P"),
+        ("P = 0;P\n", "P -> P"),
+        ("P = (0-0);P\n", "P -> P"),
+        ("P = Q||{}0\nQ = P+a.0\n", "P -> Q -> P"),
+    ],
+    ids=["self", "seq_unit", "seq_choice", "through_operators"],
+)
+def test_unguarded_recursion_exit_code(tmp_path, capsys, source, cycle):
     path = tmp_path / "loop.rosa"
-    path.write_text("P = P\n", encoding="utf-8")
+    path.write_text(source, encoding="utf-8")
     assert main([str(path)]) == 3
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: unguarded recursion: {cycle}\n"
 
 
 def test_root_override_selects_a_definition(tmp_path, capsys):

@@ -45,7 +45,7 @@ def test_unfold_resolves_root_variables():
 def test_unfold_diverges_on_unguarded_recursion():
     env = DefinitionEnv(bindings={"P": Var("P")})
     with pytest.raises(UnguardedRecursion):
-        unfold(Var("P"), env, budget=64)
+        unfold(Var("P"), env)
 
 
 def test_det_stability():
@@ -88,7 +88,7 @@ def test_mutually_unguarded_definitions_are_diagnosed():
         }
     )
     with pytest.raises(UnguardedRecursion):
-        is_det_stable(Var("P1"), env, max_unfold=128)
+        is_det_stable(Var("P1"), env)
 
 
 def test_nd_axiom_branches():
