@@ -10,8 +10,10 @@ action constants (``a`` meaning ``a.0``).
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DuplicateDefinition, LexError, ParseError, ValidationError
 from .process import (
@@ -22,6 +24,7 @@ from .process import (
     DefinitionEnv,
     ExtChoice,
     IntChoice,
+    Nil,
     Par,
     Prefix,
     ProbChoice,
@@ -52,8 +55,7 @@ EQUALS = "EQUALS"
 EOF = "EOF"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     lexeme: str
     line: int
@@ -64,11 +66,21 @@ class Token:
         return (self.line, self.column)
 
 
-_NUMBER_RE = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
-_IDENT_START_RE = re.compile(r"[A-Za-z_]")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# NUMBER and IDENT are token kinds; `skip` and `newline` yield no token.
+# Digits and letters are ASCII only: other Unicode digits and letters
+# begin no token.
+_TOKEN_RE = re.compile(
+    r"(?P<skip>[ \t\r]+|#[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>\|\||[.;\-+*<>,{}()=])"
+)
 
-_SINGLE_CHAR = {
+# Lexemes whose kind is not their group's name: the operators, the ZERO
+# number and the infinite-rate keyword.
+_FIXED_KIND = {
+    "||": PARBAR,
     ".": DOT,
     ";": SEMI,
     "-": MINUS,
@@ -82,6 +94,8 @@ _SINGLE_CHAR = {
     "(": LPAREN,
     ")": RPAREN,
     "=": EQUALS,
+    "0": ZERO,
+    INF_KEYWORD: INF_TOK,
 }
 
 
@@ -95,147 +109,138 @@ def tokenize(source: str, first_line: int = 1) -> list[Token]:
     line, so callers tokenizing one line of a larger file keep accurate
     positions.
     """
-    tokens: list[Token] = []
+    return list(map(Token, *_scan(source, first_line)))
+
+
+# Tokens as four parallel lists: their kinds, lexemes, lines and columns.
+_Scan = tuple[list[str], list[str], list[int], list[int]]
+
+
+def _scan(source: str, first_line: int) -> _Scan:
+    """`tokenize` without the Token objects, which the parser never needs."""
+    kinds, lexemes, lines, columns = scan = ([], [], [], [])
+    match = _TOKEN_RE.match
     line = first_line
-    col = 1
-    i = 0
+    line_start = pos = 0
     n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    while pos < n:
+        m = match(source, pos)
+        if m is None:
+            raise LexError(line, pos - line_start + 1, source[pos])
+        end = m.end()
+        group = m.lastgroup
+        if group == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "|":
-            if i + 1 < n and source[i + 1] == "|":
-                tokens.append(Token(PARBAR, "||", line, col))
-                i += 2
-                col += 2
-                continue
-            raise LexError(line, col, ch)
-        if ch.isdigit():
-            m = _NUMBER_RE.match(source, i)
+            line_start = end
+        elif group != "skip":
             text = m.group()
-            kind = ZERO if text == "0" else NUMBER
-            tokens.append(Token(kind, text, line, col))
-            i = m.end()
-            col += len(text)
-            continue
-        if _IDENT_START_RE.match(ch):
-            m = _IDENT_RE.match(source, i)
-            text = m.group()
-            kind = INF_TOK if text == INF_KEYWORD else IDENT
-            tokens.append(Token(kind, text, line, col))
-            i = m.end()
-            col += len(text)
-            continue
-        kind = _SINGLE_CHAR.get(ch)
-        if kind is None:
-            raise LexError(line, col, ch)
-        tokens.append(Token(kind, ch, line, col))
-        i += 1
-        col += 1
-    return tokens
+            kinds.append(_FIXED_KIND.get(text, group))
+            lexemes.append(text)
+            lines.append(line)
+            columns.append(pos - line_start + 1)
+        pos = end
+    return scan
 
 
 class _Parser:
-    """One pass over a token list; grammar, loosest rule first:
+    """One pass over the token lists of a scan; grammar, loosest rule first:
 
-    seq    := par { ";" seq }
+    seq    := par { ";" par }                    folded to the right
     par    := choice { "||" "{" [idlist] "}" choice }
     choice := prefix { ("-" | "+" | "*" "{" number "}") prefix }
-    prefix := atom [ "." prefix ]
-    atom   := "0" | IDENT | "<" IDENT "," (number | "inf") ">" | "(" seq ")"
+    prefix := { head "." } atom                  folded onto the atom
+    head   := IDENT | "<" IDENT "," (number | "inf") ">"
+    atom   := head | "0" | "(" seq ")"
+
+    Every rule but the parenthesized atom is a loop. A rated head as the
+    atom is ``<a,r>.0``; an IDENT as the atom is a variable, and its name
+    goes into ``var_names``.
     """
 
-    def __init__(self, tokens: list[Token], first_line: int = 1):
-        self.tokens = tokens
-        self.pos = 0
-        if tokens:
-            last = tokens[-1]
-            eof_line, eof_col = last.line, last.column + len(last.lexeme)
+    def __init__(self, scan: _Scan, first_line: int = 1, start: int = 0):
+        """Parse the token lists of ``scan`` from index ``start`` on.
+        ``kinds`` gets the EOF sentinel appended."""
+        self.kinds, self.lexemes, self.lines, self.columns = scan
+        if len(self.kinds) > start:
+            self.end = (self.lines[-1], self.columns[-1] + len(self.lexemes[-1]))
         else:
-            eof_line, eof_col = first_line, 1
-        self.eof = Token(EOF, "end of input", eof_line, eof_col)
-
-    def peek(self) -> Token:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return self.eof
-
-    def advance(self) -> Token:
-        tok = self.peek()
-        self.pos += 1
-        return tok
+            self.end = (first_line, 1)
+        self.kinds.append(EOF)
+        self.pos = start
+        self.var_names: set[str] = set()
 
     def fail(self, expected: str) -> ParseError:
-        tok = self.peek()
-        found = tok.lexeme if tok.kind == EOF else repr(tok.lexeme)
-        return ParseError(tok.line, tok.column, expected, found)
+        pos = self.pos
+        if self.kinds[pos] == EOF:
+            return ParseError(*self.end, expected, "end of input")
+        return ParseError(
+            self.lines[pos], self.columns[pos], expected, repr(self.lexemes[pos])
+        )
 
-    def expect(self, kind: str, expected: str) -> Token:
-        if self.peek().kind != kind:
+    def invalid(self, message: str) -> ValidationError:
+        """A ValidationError at the number just read."""
+        pos = self.pos - 1
+        return ValidationError(
+            self.lines[pos], self.columns[pos], f"{message}, got {self.lexemes[pos]}"
+        )
+
+    def expect(self, kind: str, expected: str) -> str:
+        """The lexeme of the next token, which must be of ``kind``."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
             raise self.fail(expected)
-        return self.advance()
+        self.pos = pos + 1
+        return self.lexemes[pos]
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    # entry points -----------------------------------------------------
+    # entry point ------------------------------------------------------
 
     def parse_full_process(self) -> Process:
         p = self.parse_seq()
-        if not self.at_end():
+        if self.kinds[self.pos] != EOF:
             raise self.fail("an operator or end of input")
         return p
 
     # one method per precedence level ----------------------------------
 
     def parse_seq(self) -> Process:
-        left = self.parse_par()
-        if self.peek().kind == SEMI:
-            self.advance()
-            return Seq(left, self.parse_seq())
-        return left
+        operands = [self.parse_par()]
+        while self.kinds[self.pos] == SEMI:
+            self.pos += 1
+            operands.append(self.parse_par())
+        p = operands.pop()
+        while operands:
+            p = Seq(operands.pop(), p)
+        return p
 
     def parse_par(self) -> Process:
         left = self.parse_choice()
-        while self.peek().kind == PARBAR:
-            self.advance()
+        kinds = self.kinds
+        while kinds[self.pos] == PARBAR:
+            self.pos += 1
             self.expect(LBRACE, "'{' after '||'")
             names: list[str] = []
-            if self.peek().kind == IDENT:
-                names.append(self.advance().lexeme)
-                while self.peek().kind == COMMA:
-                    self.advance()
-                    names.append(
-                        self.expect(IDENT, "an action name").lexeme
-                    )
+            if kinds[self.pos] == IDENT:
+                names.append(self.expect(IDENT, "an action name"))
+                while kinds[self.pos] == COMMA:
+                    self.pos += 1
+                    names.append(self.expect(IDENT, "an action name"))
             self.expect(RBRACE, "'}' closing the synchronization set")
             left = Par(frozenset(names), left, self.parse_choice())
         return left
 
     def parse_choice(self) -> Process:
         left = self.parse_prefix()
+        kinds = self.kinds
         while True:
-            kind = self.peek().kind
+            kind = kinds[self.pos]
             if kind == MINUS:
-                self.advance()
+                self.pos += 1
                 left = IntChoice(left, self.parse_prefix())
             elif kind == PLUS:
-                self.advance()
+                self.pos += 1
                 left = ExtChoice(left, self.parse_prefix())
             elif kind == STAR:
-                self.advance()
+                self.pos += 1
                 self.expect(LBRACE, "'{' after '*'")
                 prob = self.parse_probability()
                 self.expect(RBRACE, "'}' after the probability")
@@ -244,81 +249,83 @@ class _Parser:
                 return left
 
     def parse_prefix(self) -> Process:
-        tok = self.peek()
-        if tok.kind == LANGLE:
-            self.advance()
-            action = self.expect(IDENT, "an action name").lexeme
-            self.expect(COMMA, "',' between action and rate")
-            rate = self.parse_rate()
-            self.expect(RANGLE, "'>' closing the rated action")
-            return Prefix(action, rate, self.parse_continuation())
-        if tok.kind == IDENT:
-            self.advance()
-            if self.peek().kind == DOT:
-                self.advance()
-                return Prefix(tok.lexeme, INF, self.parse_prefix())
-            # Bare name: a process variable for now; parse_program turns
-            # the undefined ones into action constants.
-            return Var(tok.lexeme)
-        if tok.kind == ZERO:
-            self.advance()
-            return NIL
-        if tok.kind == LPAREN:
-            self.advance()
-            inner = self.parse_seq()
-            self.expect(RPAREN, "')'")
-            return inner
-        raise self.fail("a process")
-
-    def parse_continuation(self) -> Process:
-        """Continuation of a ``<a,r>`` atom: ``.P`` if a dot follows,
-        otherwise the implicit ``0``."""
-        if self.peek().kind == DOT:
-            self.advance()
-            return self.parse_prefix()
-        return NIL
+        kinds = self.kinds
+        lexemes = self.lexemes
+        heads: list[tuple[str, Rate]] = []
+        while True:
+            pos = self.pos
+            kind = kinds[pos]
+            if kind == IDENT:
+                name = lexemes[pos]
+                if kinds[pos + 1] == DOT:
+                    heads.append((name, INF))
+                    self.pos = pos + 2
+                    continue
+                # Bare name: a process variable for now; parse_program
+                # turns the undefined ones into action constants.
+                self.pos = pos + 1
+                self.var_names.add(name)
+                p: Process = Var(name)
+            elif kind == LANGLE:
+                self.pos = pos + 1
+                action = self.expect(IDENT, "an action name")
+                self.expect(COMMA, "',' between action and rate")
+                rate = self.parse_rate()
+                self.expect(RANGLE, "'>' closing the rated action")
+                heads.append((action, rate))
+                if kinds[self.pos] == DOT:
+                    self.pos += 1
+                    continue
+                p = NIL
+            elif kind == ZERO:
+                self.pos = pos + 1
+                p = NIL
+            elif kind == LPAREN:
+                self.pos = pos + 1
+                p = self.parse_seq()
+                self.expect(RPAREN, "')'")
+            else:
+                raise self.fail("a process")
+            for action, rate in reversed(heads):
+                p = Prefix(action, rate, p)
+            return p
 
     # literals ---------------------------------------------------------
 
     def parse_rate(self) -> Rate:
-        tok = self.peek()
-        if tok.kind == INF_TOK:
-            self.advance()
+        if self.kinds[self.pos] == INF_TOK:
+            self.pos += 1
             return INF
         value = self.parse_number("a rate (positive number or 'inf')")
         if value <= 0.0:
-            raise ValidationError(
-                tok.line, tok.column, f"rate must be positive, got {tok.lexeme}"
-            )
+            raise self.invalid("rate must be positive")
+        if value == math.inf:
+            raise self.invalid("rate must be finite")
         return value
 
     def parse_probability(self) -> float:
-        tok = self.peek()
         value = self.parse_number("a probability in [0,1]")
         if not (0.0 <= value <= 1.0):
-            raise ValidationError(
-                tok.line,
-                tok.column,
-                f"probability must lie in [0,1], got {tok.lexeme}",
-            )
+            raise self.invalid("probability must lie in [0,1]")
         return value
 
     def parse_number(self, expected: str) -> float:
-        tok = self.peek()
-        if tok.kind not in (NUMBER, ZERO):
+        pos = self.pos
+        if self.kinds[pos] not in (NUMBER, ZERO):
             raise self.fail(expected)
-        self.advance()
-        return float(tok.lexeme)
+        self.pos = pos + 1
+        return float(self.lexemes[pos])
 
 
 def parse_process(tokens: list[Token]) -> Process:
     """Parse one complete process expression from ``tokens``."""
-    return _Parser(tokens).parse_full_process()
+    scan = [list(field) for field in zip(*tokens)] or [[], [], [], []]
+    return _Parser(scan).parse_full_process()
 
 
 def parse_process_text(source: str) -> Process:
     """Convenience wrapper: tokenize and parse a single expression."""
-    return parse_process(tokenize(source))
+    return _Parser(_scan(source, 1)).parse_full_process()
 
 
 def parse_program(source: str) -> DefinitionEnv:
@@ -333,69 +340,59 @@ def parse_program(source: str) -> DefinitionEnv:
     references between definitions work.
     """
     bindings: dict[str, Process] = {}
-    positions: dict[str, tuple[int, int]] = {}
+    bare_names: dict[str, set[str]] = {}
     for lineno, text in enumerate(source.splitlines(), start=1):
-        tokens = tokenize(text, first_line=lineno)
-        if not tokens:
+        kinds, lexemes, _, columns = scan = _scan(text, lineno)
+        if not kinds:
             continue
-        if (
-            len(tokens) >= 2
-            and tokens[0].kind == IDENT
-            and tokens[1].kind == EQUALS
-        ):
-            name_tok = tokens[0]
-            name = name_tok.lexeme
-            parser = _Parser(tokens[2:], first_line=lineno)
-        else:
-            name_tok = tokens[0]
-            name = MAIN_NAME
-            parser = _Parser(tokens, first_line=lineno)
+        name, start = MAIN_NAME, 0
+        if len(kinds) >= 2 and kinds[0] == IDENT and kinds[1] == EQUALS:
+            name, start = lexemes[0], 2
         if name in bindings:
-            raise DuplicateDefinition(name, name_tok.line, name_tok.column)
+            raise DuplicateDefinition(name, lineno, columns[0])
+        parser = _Parser(scan, lineno, start)
         bindings[name] = parser.parse_full_process()
-        positions[name] = name_tok.position
+        bare_names[name] = parser.var_names
     if not bindings:
         raise ParseError(1, 1, "at least one process definition", "end of input")
-    defined = frozenset(bindings)
-    bindings = {
-        name: _close_free_names(body, defined)
-        for name, body in bindings.items()
-    }
+    for name, names in bare_names.items():
+        if not bindings.keys() >= names:
+            bindings[name] = _close_free_names(bindings[name], bindings)
     root = MAIN_NAME if MAIN_NAME in bindings else next(reversed(bindings))
     return DefinitionEnv(bindings=bindings, root=root)
 
 
-def _close_free_names(p: Process, defined: frozenset[str]) -> Process:
-    """Rewrite Var leaves naming no definition into action constants."""
-    if isinstance(p, Var):
-        return p if p.name in defined else Prefix(p.name, INF, NIL)
-    if isinstance(p, Prefix):
-        return Prefix(p.action, p.rate, _close_free_names(p.continuation, defined))
-    if isinstance(p, Seq):
-        return Seq(
-            _close_free_names(p.left, defined),
-            _close_free_names(p.right, defined),
-        )
-    if isinstance(p, IntChoice):
-        return IntChoice(
-            _close_free_names(p.left, defined),
-            _close_free_names(p.right, defined),
-        )
-    if isinstance(p, ExtChoice):
-        return ExtChoice(
-            _close_free_names(p.left, defined),
-            _close_free_names(p.right, defined),
-        )
-    if isinstance(p, ProbChoice):
-        return ProbChoice(
-            p.prob,
-            _close_free_names(p.left, defined),
-            _close_free_names(p.right, defined),
-        )
-    if isinstance(p, Par):
-        return Par(
-            p.sync,
-            _close_free_names(p.left, defined),
-            _close_free_names(p.right, defined),
-        )
-    return p
+def _close_free_names(p: Process, defined: dict[str, Process]) -> Process:
+    """Rewrite Var leaves naming no definition into action constants.
+
+    Subtrees with no such leaf come back as the same objects. The walk
+    is post-order on an explicit stack, so any depth fits.
+    """
+    stack: list[tuple[Process, bool]] = [(p, False)]
+    done: list[Process] = []
+    while stack:
+        node, children_done = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            done.append(node if node.name in defined else Prefix(node.name, INF, NIL))
+        elif kind is Nil:
+            done.append(node)
+        elif not children_done:
+            stack.append((node, True))
+            if kind is Prefix:
+                stack.append((node.continuation, False))
+            else:
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+        elif kind is Prefix:
+            cont = done.pop()
+            if cont is not node.continuation:
+                node = Prefix(node.action, node.rate, cont)
+            done.append(node)
+        else:
+            right = done.pop()
+            left = done.pop()
+            if left is not node.left or right is not node.right:
+                node = dataclasses.replace(node, left=left, right=right)
+            done.append(node)
+    return done[0]

@@ -90,14 +90,20 @@ def _unfold(
     p: Process, env: DefinitionEnv, open_: tuple[str, ...]
 ) -> tuple[Process, tuple[str, ...]]:
     """Unfold root variables of ``p``; ``open_`` holds the names already
-    unfolded on this path since the last action guard."""
+    unfolded on this path since the last action guard. The walk keeps
+    a list and a set, so a chain of aliases unfolds in linear time."""
+    if not isinstance(p, Var):
+        return p, open_
+    path = list(open_)
+    seen = set(open_)
     while isinstance(p, Var):
         name = p.name
-        if name in open_:
-            raise UnguardedRecursion(open_[open_.index(name):] + (name,))
-        open_ += (name,)
+        if name in seen:
+            raise UnguardedRecursion(tuple(path[path.index(name):]) + (name,))
+        path.append(name)
+        seen.add(name)
         p = env.lookup(name)
-    return p, open_
+    return p, tuple(path)
 
 
 def unfold(p: Process, env: DefinitionEnv) -> Process:

@@ -174,6 +174,15 @@ def test_many_guarded_definitions_in_one_choice_build():
     assert len(lts.edges) == 1100
 
 
+def test_long_alias_chain_builds():
+    # P0 = P1, P1 = P2, ...: one unfolding path through 20,000 names.
+    n = 20_000
+    source = "".join(f"P{i} = P{i + 1}\n" for i in range(n - 1))
+    lts = build_lts(parse_program(source + f"P{n - 1} = a.P0\n"))
+    assert len(lts.nodes) == 1
+    assert len(lts.edges) == 1
+
+
 def test_build_config_rejects_nonpositive_limits():
     with pytest.raises(ValueError):
         BuildConfig(max_states=0)

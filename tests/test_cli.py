@@ -65,6 +65,21 @@ def test_check_reports_parse_errors(tmp_path, capsys):
     assert "expected a process" in err
 
 
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("P = a.²\n", "1:7: unexpected character '²'"),
+        ("P = <a,٣>.0\n", "1:8: unexpected character '٣'"),
+        ("P = <a,1e999>.0\n", "1:8: rate must be finite, got 1e999"),
+    ],
+)
+def test_bad_literal_is_a_one_line_error(tmp_path, capsys, source, message):
+    path = tmp_path / "bad.rosa"
+    path.write_text(source, encoding="utf-8")
+    assert main([str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_duplicate_definition_is_a_validation_failure(tmp_path, capsys):
     path = tmp_path / "dup.rosa"
     path.write_text("P = a.0\nP = b.0\n", encoding="utf-8")
@@ -125,7 +140,7 @@ def test_missing_file(tmp_path, capsys):
 
 
 DEEP_INPUTS = {
-    # the parser's recursion gives out
+    # parses in a loop; the build's recursion gives out
     "prefix_chain": ".".join(f"a{i % 5}" for i in range(3000)) + ".0\n",
     # parses definition by definition; canonicalization unfolds them
     # into one 600-level choice
@@ -142,6 +157,13 @@ def test_deep_input_is_a_one_line_error(tmp_path, capsys, source):
     captured = capsys.readouterr()
     assert captured.err == "error: input nested too deeply\n"
     assert captured.out == ""
+
+
+def test_check_takes_a_3000_prefix_chain(tmp_path, capsys):
+    path = tmp_path / "chain.rosa"
+    path.write_text(DEEP_INPUTS["prefix_chain"], encoding="utf-8")
+    assert main([str(path), "--check"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_490_action_chain_still_builds(tmp_path):

@@ -87,6 +87,13 @@ def test_single_pipe_is_not_a_token():
         tokenize("a.0|b.0")
 
 
+@pytest.mark.parametrize("source,position", [("²", (1, 1)), ("<a,٣>", (1, 4))])
+def test_non_ascii_digits_begin_no_token(source, position):
+    with pytest.raises(LexError) as err:
+        tokenize(source)
+    assert err.value.position == position
+
+
 def test_parse_parallel_with_sync_set():
     p = parse_process_text("<a,0.3>.0||{a,c}<b,inf>.0")
     assert p == Par(
@@ -198,6 +205,12 @@ def test_validation_errors_for_out_of_range_literals():
     assert parse_process_text("a.0*{1}b.0").prob == 1.0
 
 
+def test_overflowing_rate_is_a_validation_error():
+    with pytest.raises(ValidationError) as err:
+        parse_process_text("<a,1e999>.0")
+    assert err.value.position == (1, 4)
+
+
 def test_parse_program_binds_and_picks_root():
     env = parse_program(
         """
@@ -253,3 +266,36 @@ def test_round_trip_on_random_asts():
         p = gen_process(rng, depth=3, allow_var=True)
         again = parse_process(tokenize(pretty_print(p)))
         assert structural_equal(again, p), pretty_print(p)
+
+
+# Chains far deeper than the interpreter's recursion limit. The terms
+# are walked here with loops only: printing or building them would
+# cache a printed key per node, quadratic in the depth.
+DEEP = 100_000
+
+
+def chain_length(p, kind, step):
+    n = 0
+    while type(p) is kind:
+        n += 1
+        p = step(p)
+    return n, p
+
+
+def test_parse_program_takes_a_long_prefix_chain():
+    env = parse_program(".".join(f"a{i % 5}" for i in range(DEEP)) + ".0\n")
+    n, tail = chain_length(env.lookup("main"), Prefix, lambda p: p.continuation)
+    assert (n, tail) == (DEEP, NIL)
+
+
+def test_parse_program_takes_a_long_sequence():
+    env = parse_program(";".join(["0"] * DEEP) + "\n")
+    n, last = chain_length(env.lookup("main"), Seq, lambda p: p.right)
+    assert (n, last) == (DEEP - 1, NIL)
+
+
+def test_parse_program_closes_free_names_in_a_long_choice():
+    operands = 10_000
+    env = parse_program("+".join(f"a{i % 5}" for i in range(operands)) + "\n")
+    n, first = chain_length(env.lookup("main"), ExtChoice, lambda p: p.left)
+    assert (n, first) == (operands - 1, Prefix("a0", INF, NIL))
