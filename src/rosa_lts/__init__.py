@@ -50,7 +50,6 @@ from .process import (
     Seq,
     Var,
     pretty_print,
-    structural_equal,
 )
 from .semantics import (
     Action,
@@ -120,7 +119,6 @@ __all__ = [
     "prob_successors",
     "pretty_print",
     "stats",
-    "structural_equal",
     "sync_rate",
     "to_dot",
     "to_json",

@@ -341,7 +341,10 @@ def parse_program(source: str) -> DefinitionEnv:
     """
     bindings: dict[str, Process] = {}
     bare_names: dict[str, set[str]] = {}
-    for lineno, text in enumerate(source.splitlines(), start=1):
+    # Lines end at \n only, the one line end the tokenizer counts (a
+    # \r before it is skipped whitespace); str.splitlines would also
+    # break at characters such as \x0c that the tokenizer rejects.
+    for lineno, text in enumerate(source.split("\n"), start=1):
         kinds, lexemes, _, columns = scan = _scan(text, lineno)
         if not kinds:
             continue

@@ -211,17 +211,6 @@ class DefinitionEnv:
         return cls(bindings={MAIN_NAME: process}, root=MAIN_NAME)
 
 
-def structural_equal(p: Process, q: Process) -> bool:
-    """True iff the two trees are identical: same constructors, names,
-    exact numeric values, equal synchronization sets.
-
-    Dataclass equality is already structural; this exists as the named
-    operation. Note it is order-sensitive: ``a.0 + b.0`` and ``b.0 + a.0``
-    differ here and only become equal after canonicalization.
-    """
-    return p == q
-
-
 def format_number(value: float) -> str:
     """Shortest decimal string that round-trips to the same float."""
     return repr(float(value))

@@ -4,8 +4,12 @@ A process moves through up to three layers, checked in a fixed order:
 unguarded internal choices resolve first (non-deterministic rules), then
 unguarded probabilistic choices (all at once, with product
 probabilities), and only a process stable under both runs timed actions.
-`classify` is the dispatcher; the three `*_successors` functions are the
-rule families.
+Every walk covers only the unguarded positions: operands of the choices
+and of parallel, the left of ';' (the right is guarded by completion of
+the left), and through variables. `classify` is the dispatcher, one
+walk that builds no term and yields the layer and the actions a stable
+state can fire. The three `*_successors` functions are the rule
+families, each one linear walk that leaves stable operands as written.
 
 Recursion through process variables must pass an action guard. The
 walkers never descend below a prefix, so each carries the names it has
@@ -122,53 +126,85 @@ def sync_rate(alpha: Rate, beta: Rate) -> Rate:
     return min(alpha, beta)
 
 
-# stability predicates ------------------------------------------------
-#
-# Both walk only unguarded positions: operands of the choices and of
-# parallel, the left of ';' (the right is guarded by completion of the
-# left), and through variables. Nothing below a prefix counts.
+# layer walk ----------------------------------------------------------
+
+_BINARY = (ExtChoice, Par, ProbChoice)
+_ND = (NodeKind.ND_UNSTABLE, ())
+_PROB = (NodeKind.PROB_UNSTABLE, ())
+_NEEDS_DET_STABLE = ("probabilistic stability is only defined for "
+                     "deterministically stable processes")
 
 
-def _ds(p: Process, env: DefinitionEnv, open_: tuple[str, ...]) -> bool:
-    p, open_ = _unfold(p, env, open_)
-    if isinstance(p, (Nil, Prefix)):
-        return True
-    if isinstance(p, IntChoice):
-        return False
-    if isinstance(p, (ExtChoice, ProbChoice, Par)):
-        return _ds(p.left, env, open_) and _ds(p.right, env, open_)
-    if isinstance(p, Seq):
-        return _ds(p.left, env, open_)
-    raise TypeError(f"not a Process: {p!r}")
+def _layer(
+    p: Process, env: DefinitionEnv, open_: tuple[str, ...]
+) -> tuple[NodeKind | None, tuple[str, ...]]:
+    """``(layer, offers)``: ND_UNSTABLE, PROB_UNSTABLE or None (stable),
+    and the action names a stable ``p`` can fire. An nd left operand
+    ends the walk: the right is not visited."""
+    if type(p) is Var:
+        p, open_ = _unfold(p, env, open_)
+    kind = type(p)
+    if kind is Prefix:
+        return None, (p.action,)
+    if kind is Nil:
+        return None, ()
+    if kind is IntChoice:
+        return _ND
+    if kind is Seq:
+        return _layer(p.left, env, open_)
+    if kind not in _BINARY:
+        raise TypeError(f"not a Process: {p!r}")
+    left, left_offers = _layer(p.left, env, open_)
+    if left is NodeKind.ND_UNSTABLE:
+        return _ND
+    right, right_offers = _layer(p.right, env, open_)
+    if right is NodeKind.ND_UNSTABLE:
+        return _ND
+    if kind is ProbChoice or left is not None or right is not None:
+        return _PROB
+    offers = left_offers + right_offers
+    if kind is Par and p.sync:
+        # A name in the sync set fires only if both sides offer it.
+        offers = tuple(n for n in offers if n not in p.sync
+                       or (n in left_offers and n in right_offers))
+    return None, offers
 
 
 def is_det_stable(p: Process, env: DefinitionEnv) -> bool:
     """False iff ``p`` contains an unguarded internal choice."""
-    return _ds(p, env, ())
-
-
-def _ps(p: Process, env: DefinitionEnv, open_: tuple[str, ...]) -> bool:
-    p, open_ = _unfold(p, env, open_)
-    if isinstance(p, (Nil, Prefix)):
-        return True
-    if isinstance(p, ProbChoice):
-        return False
-    if isinstance(p, (ExtChoice, Par)):
-        return _ps(p.left, env, open_) and _ps(p.right, env, open_)
-    if isinstance(p, Seq):
-        return _ps(p.left, env, open_)
-    if isinstance(p, IntChoice):
-        raise ValueError(
-            "probabilistic stability is only defined for deterministically "
-            "stable processes"
-        )
-    raise TypeError(f"not a Process: {p!r}")
+    return _layer(p, env, ())[0] is not NodeKind.ND_UNSTABLE
 
 
 def is_prob_stable(p: Process, env: DefinitionEnv) -> bool:
     """False iff ``p`` contains an unguarded probabilistic choice.
-    Requires ``is_det_stable(p, env)``."""
-    return _ps(p, env, ())
+    Requires ``is_det_stable(p, env)``; raises ValueError otherwise."""
+    layer = _layer(p, env, ())[0]
+    if layer is NodeKind.ND_UNSTABLE:
+        raise ValueError(_NEEDS_DET_STABLE)
+    return layer is None
+
+
+def classify(p: Process, env: DefinitionEnv) -> NodeKind:
+    """Which layer applies, checked in the fixed dispatch order:
+    nd-unstable, else prob-unstable, else terminated, else has timed
+    moves, else deadlocked. Expects canonical input (a terminated
+    process is literally Nil)."""
+    p0, open_ = _unfold(p, env, ())
+    layer, offers = _layer(p0, env, open_)
+    if layer is not None:
+        return layer
+    if type(p0) is Nil:
+        return NodeKind.SUCCESS
+    return NodeKind.ACTION_ENABLED if offers else NodeKind.DEADLOCK
+
+
+def _rebuild(template: Process, left: Process, right: Process) -> Process:
+    kind = type(template)
+    if kind is Par:
+        return Par(template.sync, left, right)
+    if kind is ProbChoice:
+        return ProbChoice(template.prob, left, right)
+    return ExtChoice(left, right)
 
 
 # non-deterministic rules ---------------------------------------------
@@ -177,40 +213,23 @@ def is_prob_stable(p: Process, env: DefinitionEnv) -> bool:
 def _nd(
     p: Process, env: DefinitionEnv, open_: tuple[str, ...]
 ) -> list[tuple[str, Process]]:
-    if isinstance(p, IntChoice):
+    """``(path, successor)`` per unguarded internal choice; empty for a
+    deterministically stable ``p``."""
+    if type(p) is Var:
+        p, open_ = _unfold(p, env, open_)
+    kind = type(p)
+    if kind is IntChoice:
         return [("L", p.left), ("R", p.right)]
-    out: list[tuple[str, Process]] = []
-    if isinstance(p, (ExtChoice, ProbChoice, Par)):
-        left, left_open = _unfold(p.left, env, open_)
-        if not _ds(left, env, left_open):
-            for path, s in _nd(left, env, left_open):
-                out.append(("L." + path, _rebuild(p, s, p.right)))
-        right, right_open = _unfold(p.right, env, open_)
-        if not _ds(right, env, right_open):
-            for path, s in _nd(right, env, right_open):
-                out.append(("R." + path, _rebuild(p, p.left, s)))
-        return out
-    if isinstance(p, Seq):
-        left, left_open = _unfold(p.left, env, open_)
-        for path, s in _nd(left, env, left_open):
-            out.append(("L." + path, Seq(s, p.right)))
-        return out
-    raise ValueError(
-        "nd_successors requires a deterministically unstable process, "
-        f"got {p}"
-    )
-
-
-def _rebuild(template: Process, left: Process, right: Process) -> Process:
-    if isinstance(template, ExtChoice):
-        return ExtChoice(left, right)
-    if isinstance(template, IntChoice):
-        return IntChoice(left, right)
-    if isinstance(template, ProbChoice):
-        return ProbChoice(template.prob, left, right)
-    if isinstance(template, Par):
-        return Par(template.sync, left, right)
-    raise TypeError(f"not a binary choice or parallel node: {template!r}")
+    if kind is Prefix or kind is Nil:
+        return []
+    if kind is Seq:
+        return [("L." + k, Seq(s, p.right)) for k, s in _nd(p.left, env, open_)]
+    if kind not in _BINARY:
+        raise TypeError(f"not a Process: {p!r}")
+    left, right = p.left, p.right
+    out = [("L." + k, _rebuild(p, s, right)) for k, s in _nd(left, env, open_)]
+    out += [("R." + k, _rebuild(p, left, s)) for k, s in _nd(right, env, open_)]
+    return out
 
 
 def nd_successors(
@@ -221,10 +240,14 @@ def nd_successors(
     An IntChoice at the root takes its two axiom branches; otherwise
     each unstable operand contributes its successors re-wrapped in the
     surrounding context, label path prefixed with the operand side, and
-    stable operands are left untouched.
+    stable operands are left untouched. Raises ValueError for a
+    deterministically stable ``p``.
     """
-    p0, open_ = _unfold(p, env, ())
-    return [(NdBranch(path), s) for path, s in _nd(p0, env, open_)]
+    out = _nd(p, env, ())
+    if not out:
+        raise ValueError("nd_successors requires a deterministically "
+                         f"unstable process, got {p}")
+    return [(NdBranch(path), s) for path, s in out]
 
 
 # probabilistic rules -------------------------------------------------
@@ -232,33 +255,38 @@ def nd_successors(
 
 def _presolve(
     p: Process, env: DefinitionEnv, open_: tuple[str, ...]
-) -> list[tuple[float, Process]]:
-    if _ps(p, env, open_):
-        return [(1.0, p)]
-    p, open_ = _unfold(p, env, open_)
-    if isinstance(p, ProbChoice):
+) -> list[tuple[float, Process]] | None:
+    """``(weight, successor)`` per resolution of the unguarded prob
+    choices; None if there is none, and the caller keeps ``p`` as is."""
+    if type(p) is Var:
+        p, open_ = _unfold(p, env, open_)
+    kind = type(p)
+    if kind is Prefix or kind is Nil:
+        return None
+    if kind is ProbChoice:
         out: list[tuple[float, Process]] = []
-        if p.prob > 0.0:
-            out.extend(
-                (p.prob * w, s) for w, s in _presolve(p.left, env, open_)
-            )
-        if 1.0 - p.prob > 0.0:
-            out.extend(
-                ((1.0 - p.prob) * w, s)
-                for w, s in _presolve(p.right, env, open_)
-            )
+        for w, branch in ((p.prob, p.left), (1.0 - p.prob, p.right)):
+            if w > 0.0:
+                sub = _presolve(branch, env, open_)
+                out.extend([(w, branch)] if sub is None else
+                           [(w * ws, s) for ws, s in sub])
         return [(w, s) for w, s in out if w > 0.0]
-    if isinstance(p, (ExtChoice, Par)):
+    if kind is ExtChoice or kind is Par:
+        left = _presolve(p.left, env, open_)
+        right = _presolve(p.right, env, open_)
+        if left is None and right is None:
+            return None
         return [
             (wl * wr, _rebuild(p, sl, sr))
-            for wl, sl in _presolve(p.left, env, open_)
-            for wr, sr in _presolve(p.right, env, open_)
+            for wl, sl in ([(1.0, p.left)] if left is None else left)
+            for wr, sr in ([(1.0, p.right)] if right is None else right)
         ]
-    if isinstance(p, Seq):
-        return [
-            (w, Seq(s, p.right)) for w, s in _presolve(p.left, env, open_)
-        ]
-    raise ValueError(f"unexpected probabilistically unstable node: {p}")
+    if kind is Seq:
+        left = _presolve(p.left, env, open_)
+        return None if left is None else [(w, Seq(s, p.right)) for w, s in left]
+    if kind is IntChoice:
+        raise ValueError(_NEEDS_DET_STABLE)
+    raise TypeError(f"not a Process: {p!r}")
 
 
 def prob_successors(
@@ -271,13 +299,11 @@ def prob_successors(
     probabilities, zero-probability branches are dropped, and the
     returned probabilities sum to 1 within PROB_TOLERANCE.
     """
-    p0, open_ = _unfold(p, env, ())
-    if _ps(p0, env, open_):
-        raise ValueError(
-            "prob_successors requires a probabilistically unstable process, "
-            f"got {p0}"
-        )
-    return [(Prob(w), s) for w, s in _presolve(p0, env, open_)]
+    out = _presolve(p, env, ())
+    if out is None:
+        raise ValueError("prob_successors requires a probabilistically "
+                         f"unstable process, got {p}")
+    return [(Prob(w), s) for w, s in out]
 
 
 # action rules --------------------------------------------------------
@@ -286,39 +312,30 @@ def prob_successors(
 def _act(
     p: Process, env: DefinitionEnv, open_: tuple[str, ...]
 ) -> list[tuple[Action, Process]]:
-    p, open_ = _unfold(p, env, open_)
-    if isinstance(p, Nil):
-        return []
-    if isinstance(p, Prefix):
+    if type(p) is Var:
+        p, open_ = _unfold(p, env, open_)
+    kind = type(p)
+    if kind is Prefix:
         return [(Action(p.action, p.rate), p.continuation)]
-    if isinstance(p, ExtChoice):
+    if kind is Nil:
+        return []
+    if kind is ExtChoice:
         return _act(p.left, env, open_) + _act(p.right, env, open_)
-    if isinstance(p, Seq):
-        return [
-            (label, Seq(s, p.right))
-            for label, s in _act(p.left, env, open_)
-        ]
-    if isinstance(p, Par):
-        pmoves = _act(p.left, env, open_)
-        qmoves = _act(p.right, env, open_)
-        out: list[tuple[Action, Process]] = []
-        for label, s in pmoves:
-            if label.name not in p.sync:
-                out.append((label, Par(p.sync, s, p.right)))
-        for label, s in qmoves:
-            if label.name not in p.sync:
-                out.append((label, Par(p.sync, p.left, s)))
-        for pl, ps_ in pmoves:
-            if pl.name not in p.sync:
-                continue
-            for ql, qs in qmoves:
-                if ql.name == pl.name:
-                    joint = Action(pl.name, sync_rate(pl.rate, ql.rate))
-                    out.append((joint, Par(p.sync, ps_, qs)))
-        return out
-    raise ValueError(
-        f"action_successors requires a stable process, got {p}"
-    )
+    if kind is Seq:
+        return [(lbl, Seq(s, p.right)) for lbl, s in _act(p.left, env, open_)]
+    if kind is not Par:
+        raise ValueError(f"action_successors requires a stable process, got {p}")
+    pmoves = _act(p.left, env, open_)
+    qmoves = _act(p.right, env, open_)
+    sync, left, right = p.sync, p.left, p.right
+    out = [(a, Par(sync, s, right)) for a, s in pmoves if a.name not in sync]
+    out += [(a, Par(sync, left, s)) for a, s in qmoves if a.name not in sync]
+    out += [
+        (Action(pl.name, sync_rate(pl.rate, ql.rate)), Par(sync, ps_, qs))
+        for pl, ps_ in pmoves if pl.name in sync
+        for ql, qs in qmoves if ql.name == pl.name
+    ]
+    return out
 
 
 def action_successors(
@@ -334,20 +351,3 @@ def action_successors(
     The empty result is a deadlock.
     """
     return _act(p, env, ())
-
-
-def classify(p: Process, env: DefinitionEnv) -> NodeKind:
-    """Which layer applies, checked in the fixed dispatch order:
-    nd-unstable, else prob-unstable, else terminated, else has timed
-    moves, else deadlocked. Expects canonical input (a terminated
-    process is literally Nil)."""
-    p0, open_ = _unfold(p, env, ())
-    if not _ds(p0, env, open_):
-        return NodeKind.ND_UNSTABLE
-    if not _ps(p0, env, open_):
-        return NodeKind.PROB_UNSTABLE
-    if isinstance(p0, Nil):
-        return NodeKind.SUCCESS
-    if _act(p0, env, open_):
-        return NodeKind.ACTION_ENABLED
-    return NodeKind.DEADLOCK

@@ -22,7 +22,6 @@ from rosa_lts import (
     parse_process_text,
     parse_program,
     pretty_print,
-    structural_equal,
     tokenize,
 )
 from gen import gen_process
@@ -92,6 +91,27 @@ def test_non_ascii_digits_begin_no_token(source, position):
     with pytest.raises(LexError) as err:
         tokenize(source)
     assert err.value.position == position
+
+
+# Line breaks for str.splitlines, but characters the tokenizer rejects.
+FOREIGN_LINE_ENDS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize(
+    "char", FOREIGN_LINE_ENDS, ids=lambda c: f"U+{ord(c):04X}"
+)
+def test_program_lines_end_at_newline_only(char):
+    with pytest.raises(LexError) as err:
+        parse_program("P = a.0" + char + "Q = b.0")
+    assert err.value.position == (1, 8)
+    assert err.value.char == char
+
+
+def test_program_with_crlf_line_ends_parses():
+    env = parse_program("P = a.Q\r\nQ = <b,0.5>.P\r\n")
+    assert env.root == "Q"
+    assert env.lookup("P") == Prefix("a", INF, Var("Q"))
+    assert env.lookup("Q") == Prefix("b", 0.5, Var("P"))
 
 
 def test_parse_parallel_with_sync_set():
@@ -265,7 +285,7 @@ def test_round_trip_on_random_asts():
     for _ in range(300):
         p = gen_process(rng, depth=3, allow_var=True)
         again = parse_process(tokenize(pretty_print(p)))
-        assert structural_equal(again, p), pretty_print(p)
+        assert again == p, pretty_print(p)
 
 
 # Chains far deeper than the interpreter's recursion limit. The terms

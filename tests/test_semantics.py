@@ -1,5 +1,8 @@
 """Transition rule families, stability dispatch and classification."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from rosa_lts import (
@@ -19,15 +22,19 @@ from rosa_lts import (
     UnguardedRecursion,
     Var,
     action_successors,
+    canonicalize,
     classify,
     is_det_stable,
     is_prob_stable,
     nd_successors,
+    parse_process_text,
     parse_program,
     prob_successors,
     sync_rate,
     unfold,
 )
+import reference_semantics as ref
+from gen import VAR_ENV, gen_process
 
 EMPTY = DefinitionEnv(bindings={})
 
@@ -125,6 +132,20 @@ def test_nd_resolves_one_choice_per_successor():
 def test_nd_on_stable_process_is_a_contract_violation():
     with pytest.raises(ValueError):
         nd_successors(a(), EMPTY)
+
+
+@pytest.mark.parametrize(
+    "source", ["0", "a.0+b.0", "a.0;(b.0-c.0)", "(a.0*{0.5}b.0)||{}c.0"]
+)
+def test_nd_on_any_det_stable_process_is_a_contract_violation(source):
+    with pytest.raises(ValueError, match="deterministically unstable"):
+        nd_successors(parse_process_text(source), EMPTY)
+
+
+def test_prob_stability_requires_det_stability():
+    p = parse_process_text("(a.0*{0.5}b.0)||{}(c.0-d.0)")
+    with pytest.raises(ValueError, match="deterministically stable"):
+        is_prob_stable(p, EMPTY)
 
 
 def test_prob_axiom_branches_keep_variables_folded():
@@ -237,3 +258,32 @@ def test_classification_order():
         classify(IntChoice(ProbChoice(0.5, a(), a()), NIL), EMPTY)
         == NodeKind.ND_UNSTABLE
     )
+
+
+FAMILIES = {
+    NodeKind.ND_UNSTABLE: (nd_successors, ref.nd_successors),
+    NodeKind.PROB_UNSTABLE: (prob_successors, ref.prob_successors),
+    NodeKind.ACTION_ENABLED: (action_successors, ref.action_successors),
+    NodeKind.DEADLOCK: (action_successors, ref.action_successors),
+    NodeKind.SUCCESS: (action_successors, ref.action_successors),
+}
+
+
+def test_layer_walks_match_the_reference():
+    # One classification walk and linear families against the earlier
+    # separate stability walks, on raw (non-canonical) terms and on
+    # their canonical forms.
+    rng = random.Random(3)
+    seen = Counter()
+    for _ in range(400):
+        raw = gen_process(rng, 4, allow_var=True)
+        for p in (raw, canonicalize(raw, VAR_ENV)):
+            kind = classify(p, VAR_ENV)
+            assert kind == ref.classify(p, VAR_ENV), p
+            assert is_det_stable(p, VAR_ENV) == ref._ds(p, VAR_ENV, ()), p
+            if kind != NodeKind.ND_UNSTABLE:
+                assert is_prob_stable(p, VAR_ENV) == ref._ps(p, VAR_ENV, ()), p
+            family, reference = FAMILIES[kind]
+            assert family(p, VAR_ENV) == reference(p, VAR_ENV), p
+            seen[kind] += 1
+    assert set(seen) == set(NodeKind), seen
