@@ -7,7 +7,7 @@ Typical use:
     >>> env = parse_program("<a,0.3>.0||{a,c}<b,inf>.0")
     >>> print(to_text(build_lts(env)), end="")
     #0 [action] <a,0.3>.0||{a,c}b.0
-    #1 [deadlock] <a,0.3>.0||{a,c}0
+    #1 [deadlock] 0||{a,c}<a,0.3>.0
     #0 -b,inf-> #1
     ...
 """
@@ -15,10 +15,8 @@ Typical use:
 from .builder import (
     BuildConfig,
     Lts,
-    LtsBuilder,
     LtsEdge,
     LtsNode,
-    StateLimit,
     build_lts,
     stats,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "IntChoice",
     "LexError",
     "Lts",
-    "LtsBuilder",
     "LtsEdge",
     "LtsNode",
     "NIL",
@@ -97,7 +94,6 @@ __all__ = [
     "Rate",
     "RosaError",
     "Seq",
-    "StateLimit",
     "Token",
     "TransitionLabel",
     "UnboundVariable",

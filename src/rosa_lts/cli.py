@@ -26,8 +26,9 @@ from .export import ExportOptions, to_dot, to_json, to_text
 from .parser import parse_program
 from .process import DefinitionEnv
 
-# For terms nested deeper than the parser and the semantic walkers,
-# which recurse once per tree level, can follow.
+# For input nested deeper than the interpreter's recursion limit allows:
+# the parser recurses once per parenthesis level, the semantic walkers
+# once per tree level.
 _TOO_DEEP = "error: input nested too deeply"
 
 

@@ -29,12 +29,9 @@ class LexError(ParseError):
     """A character that begins no token."""
 
     def __init__(self, line: int, column: int, char: str):
+        super().__init__(line, column, "a token", repr(char))
         self.char = char
-        RosaError.__init__(self, f"{line}:{column}: unexpected character {char!r}")
-        self.line = line
-        self.column = column
-        self.expected = "a token"
-        self.found = repr(char)
+        self.args = (f"{line}:{column}: unexpected character {char!r}",)
 
 
 class ValidationError(RosaError):

@@ -16,7 +16,6 @@ NODE_LABELS = ("id", "expr", "both")
 @dataclass(frozen=True)
 class ExportOptions:
     node_labels: str = "both"
-    include_stats: bool = True
 
     def __post_init__(self) -> None:
         if self.node_labels not in NODE_LABELS:
@@ -39,7 +38,7 @@ def label_text(label: TransitionLabel) -> str:
 
 def to_text(lts: Lts, opts: ExportOptions | None = None) -> str:
     """Node lines `#id [kind] expr`, then edge lines
-    `#src -label-> #dst`, then a stats block unless disabled."""
+    `#src -label-> #dst`, then a stats block."""
     opts = opts or ExportOptions()
     lines = []
     for node in lts.nodes:
@@ -51,14 +50,13 @@ def to_text(lts: Lts, opts: ExportOptions | None = None) -> str:
         lines.append(
             f"#{edge.source} -{label_text(edge.label)}-> #{edge.target}"
         )
-    if opts.include_stats:
-        s = stats(lts)
-        lines.append("")
-        lines.append(f"nodes: {s['node_count']}")
-        lines.append(f"edges: {s['edge_count']}")
-        lines.append(f"deadlocks: {s['deadlock_count']}")
-        lines.append(f"successes: {s['success_count']}")
-        lines.append(f"truncated: {'yes' if s['truncated'] else 'no'}")
+    s = stats(lts)
+    lines.append("")
+    lines.append(f"nodes: {s['node_count']}")
+    lines.append(f"edges: {s['edge_count']}")
+    lines.append(f"deadlocks: {s['deadlock_count']}")
+    lines.append(f"successes: {s['success_count']}")
+    lines.append(f"truncated: {'yes' if s['truncated'] else 'no'}")
     return "\n".join(lines) + "\n"
 
 

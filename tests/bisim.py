@@ -1,15 +1,31 @@
-"""Label-preserving bisimilarity check by partition refinement.
+"""Label-preserving bisimilarity check by partition refinement, and the
+raw-key reference build it is checked against.
 
-Works on the union of two graphs: blocks start split by node kind and
-refine on transition signatures until stable; the graphs' roots must
-then share a block. Probabilistic edges compare by total probability
-into each block (rounded, so differently-merged but equal distributions
-match); other edges compare by exact label and target block.
+The check works on the union of two graphs: blocks start split by node
+kind and refine on transition signatures until stable; the graphs' roots
+must then share a block. Probabilistic edges compare by total
+probability into each block (rounded, so differently-merged but equal
+distributions match); other edges compare by exact label and target
+block.
 """
 
 from __future__ import annotations
 
-from rosa_lts import Lts, Prob
+from rosa_lts import (
+    BuildConfig,
+    DefinitionEnv,
+    Lts,
+    LtsEdge,
+    LtsNode,
+    NodeKind,
+    Prob,
+    action_successors,
+    canonicalize,
+    classify,
+    nd_successors,
+    pretty_print,
+    prob_successors,
+)
 
 PROB_DECIMALS = 9
 
@@ -57,3 +73,55 @@ def bisimilar(a: Lts, b: Lts) -> bool:
         if len(table) == len(set(block_ids)):
             return next_ids[root_a] == next_ids[root_b]
         block_ids = next_ids
+
+
+_SUCCESSORS = {
+    NodeKind.ND_UNSTABLE: nd_successors,
+    NodeKind.PROB_UNSTABLE: prob_successors,
+    NodeKind.ACTION_ENABLED: action_successors,
+}
+
+
+def raw_key_lts(env: DefinitionEnv, config: BuildConfig | None = None) -> Lts:
+    """`build_lts` with states keyed by their printed form exactly as
+    produced, with no canonical rewriting, so syntactically different
+    spellings of one state stay separate. Stored processes are still
+    canonical, so every state steps as in `build_lts`; only
+    deduplication is weaker."""
+    max_states = (config or BuildConfig()).max_states
+    lts = Lts()
+    id_by_key: dict[str, int] = {}
+
+    def admit(produced):
+        key = pretty_print(produced)
+        if key not in id_by_key:
+            if len(lts.nodes) == max_states:
+                lts.truncated = True
+                return None
+            canonical = canonicalize(produced, env)
+            id_by_key[key] = len(lts.nodes)
+            node = LtsNode(len(lts.nodes), canonical, key, classify(canonical, env))
+            lts.nodes.append(node)
+        return id_by_key[key]
+
+    admit(env.root_process())
+    for node in lts.nodes:
+        if lts.truncated:
+            break
+        if node.kind not in _SUCCESSORS:
+            continue
+        merged: dict = {}  # target -> summed mass, or (label, target) -> None
+        for label, produced in _SUCCESSORS[node.kind](node.process, env):
+            target = admit(produced)
+            if target is None:
+                break
+            if isinstance(label, Prob):
+                merged[target] = merged.get(target, 0.0) + label.p
+            else:
+                merged[label, target] = None
+        for key, mass in merged.items():
+            if mass is None:
+                lts.edges.append(LtsEdge(node.id, key[1], key[0]))
+            else:
+                lts.edges.append(LtsEdge(node.id, key, Prob(mass)))
+    return lts

@@ -12,24 +12,20 @@ from rosa_lts import (
     DefinitionEnv,
     ExtChoice,
     IntChoice,
-    LtsBuilder,
     NodeKind,
     Par,
     Prefix,
     Prob,
     ProbChoice,
-    StateLimit,
     UnboundVariable,
     Var,
     build_lts,
-    canonicalize,
     classify,
     parse_program,
     stats,
 )
+from bisim import raw_key_lts
 from gen import gen_process
-
-EMPTY = DefinitionEnv(bindings={})
 
 
 def test_blocking_parallel_build():
@@ -90,27 +86,6 @@ def test_state_limit_truncates_without_raising():
     assert full.nodes == lts.nodes and full.edges == lts.edges
 
 
-def test_find_or_insert_dedups_by_canonical_key():
-    builder = LtsBuilder(EMPTY)
-    first = canonicalize(
-        ExtChoice(Prefix("a", INF, NIL), Prefix("b", INF, NIL)), EMPTY
-    )
-    second = canonicalize(
-        ExtChoice(Prefix("b", INF, NIL), Prefix("a", INF, NIL)), EMPTY
-    )
-    id_a, new_a = builder.find_or_insert(first)
-    id_b, new_b = builder.find_or_insert(second)
-    assert (id_a, new_a) == (0, True)
-    assert (id_b, new_b) == (0, False)
-
-
-def test_find_or_insert_signals_the_state_limit():
-    builder = LtsBuilder(EMPTY, BuildConfig(max_states=1))
-    builder.find_or_insert(NIL)
-    with pytest.raises(StateLimit):
-        builder.find_or_insert(Prefix("a", INF, NIL))
-
-
 def test_probabilistic_branches_to_one_state_merge():
     a0 = Prefix("a", INF, NIL)
     env = DefinitionEnv(bindings={"main": ProbChoice(0.5, a0, a0)})
@@ -145,7 +120,7 @@ def test_raw_keys_keep_step_artifacts_apart():
     # from the plain continuation, so raw keys see an extra state
     env = parse_program("main = (a.0;c.0) + b.c.0")
     merged = build_lts(env)
-    raw = build_lts(env, canonical_keys=False)
+    raw = raw_key_lts(env)
     assert len(merged.nodes) == 3 and len(merged.edges) == 3
     assert len(raw.nodes) == 4 and len(raw.edges) == 4
     assert {n.key for n in raw.nodes} == {"(a.0;c.0)+b.c.0", "0;c.0", "c.0", "0"}

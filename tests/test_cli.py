@@ -4,12 +4,14 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from rosa_lts.cli import main
 
 SAMPLE_SOURCE = "<a,0.3>.0||{a,c}<b,inf>.0\n"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -126,6 +128,23 @@ def test_truncation_warns_but_succeeds(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "warning:" in captured.err
     assert "truncated: yes" in captured.out
+
+
+GOLDEN = {
+    "case_study.txt": ("case_study.rosa", "--format", "text"),
+    "case_study.dot": ("case_study.rosa", "--format", "dot"),
+    "case_study.json": ("case_study.rosa", "--format", "json"),
+    # the state limit hits inside the root's probabilistic fan-out
+    "truncated_prob.txt": ("truncated_prob.rosa", "--max-states", "2"),
+}
+
+
+@pytest.mark.parametrize("golden", GOLDEN.keys())
+def test_output_matches_golden_file(golden, tmp_path):
+    source, *args = GOLDEN[golden]
+    out = tmp_path / golden
+    assert main([str(DATA / source), *args, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_reads_stdin_dash(monkeypatch, capsys):

@@ -1,9 +1,11 @@
 """Golden outputs for the text, DOT and JSON serializers."""
 
+import doctest
 import json
 
 import pytest
 
+import rosa_lts
 from rosa_lts import ExportOptions, build_lts, parse_program, to_dot, to_json, to_text
 from rosa_lts.export import _quote, label_text
 from rosa_lts import INF, Action, NdBranch, Prob
@@ -35,10 +37,23 @@ def test_text_golden():
     )
 
 
-def test_text_id_labels_without_stats():
-    opts = ExportOptions(node_labels="id", include_stats=False)
+def test_package_docstring_example():
+    result = doctest.testmod(rosa_lts, optionflags=doctest.ELLIPSIS)
+    assert result.attempted > 0 and result.failed == 0
+
+
+def test_text_id_labels():
+    opts = ExportOptions(node_labels="id")
     assert to_text(BLOCKED, opts) == (
-        "#0 [action]\n#1 [deadlock]\n#0 -b,inf-> #1\n"
+        "#0 [action]\n"
+        "#1 [deadlock]\n"
+        "#0 -b,inf-> #1\n"
+        "\n"
+        "nodes: 2\n"
+        "edges: 1\n"
+        "deadlocks: 1\n"
+        "successes: 0\n"
+        "truncated: no\n"
     )
 
 

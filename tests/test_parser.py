@@ -79,6 +79,8 @@ def test_lex_error_position():
     with pytest.raises(LexError) as err:
         tokenize("a.0 @ b")
     assert err.value.position == (1, 5)
+    assert str(err.value) == "1:5: unexpected character '@'"
+    assert (err.value.expected, err.value.found) == ("a token", "'@'")
 
 
 def test_single_pipe_is_not_a_token():
