@@ -20,7 +20,7 @@ from .builder import (
     build_lts,
     stats,
 )
-from .canonical import canonical_key, canonicalize
+from .canonical import canonical_key, canonicalize, unfold
 from .errors import (
     DuplicateDefinition,
     LexError,
@@ -57,12 +57,9 @@ from .semantics import (
     TransitionLabel,
     action_successors,
     classify,
-    is_det_stable,
-    is_prob_stable,
     nd_successors,
     prob_successors,
     sync_rate,
-    unfold,
 )
 
 __version__ = "0.1.0"
@@ -105,8 +102,6 @@ __all__ = [
     "canonical_key",
     "canonicalize",
     "classify",
-    "is_det_stable",
-    "is_prob_stable",
     "label_text",
     "nd_successors",
     "parse_process",

@@ -18,9 +18,17 @@ keys never changes the behaviour of the transition system.
 Variables in unguarded positions (the root, operands of choices and
 parallel, the left of ';') are unfolded so that a definition and its
 body get the same key; variables under an action guard stay folded,
-which keeps keys finite for recursive definitions. As in the
-semantics, each path carries the names it has unfolded since the last
-guard, and a name that comes back raises UnguardedRecursion.
+which keeps keys finite for recursive definitions. This is the only
+place that unfolds: the transition rules read canonical terms, which
+have no unguarded variable left.
+
+Recursion through process variables must pass an action guard. Each
+path carries the names it has unfolded since the last guard (each
+operand gets its own path), and a name that comes back means the
+rewrite would repeat itself forever, so exactly then it raises
+UnguardedRecursion naming the cycle (``P = P``, ``P = 0;P``, or
+``P = Q||{}0`` with ``Q = P+a.0``). Sibling operands and separate
+calls share nothing, so no count of unfolds can run out.
 
 Operands are ordered, and S3 detected, by comparing keys, which each
 node computes once and caches (see `pretty_print`); printing is
@@ -35,6 +43,7 @@ rewritten only along the path that changed.
 
 from __future__ import annotations
 
+from .errors import UnguardedRecursion
 from .process import (
     NIL,
     DefinitionEnv,
@@ -49,11 +58,41 @@ from .process import (
     Var,
     pretty_print,
 )
-from .semantics import _unfold
+
+
+def _unfold(
+    p: Process, env: DefinitionEnv, open_: tuple[str, ...]
+) -> tuple[Process, tuple[str, ...]]:
+    """Unfold root variables of ``p``; ``open_`` holds the names already
+    unfolded on this path since the last action guard. The walk keeps
+    a list and a set, so a chain of aliases unfolds in linear time."""
+    if not isinstance(p, Var):
+        return p, open_
+    path = list(open_)
+    seen = set(open_)
+    while isinstance(p, Var):
+        name = p.name
+        if name in seen:
+            raise UnguardedRecursion(tuple(path[path.index(name):]) + (name,))
+        path.append(name)
+        seen.add(name)
+        p = env.lookup(name)
+    return p, tuple(path)
+
+
+def unfold(p: Process, env: DefinitionEnv) -> Process:
+    """Replace a root-position variable by its binding until the root is
+    a real constructor; a name that comes back is unguarded recursion."""
+    return _unfold(p, env, ())[0]
 
 
 def canonicalize(p: Process, env: DefinitionEnv) -> Process:
     """The unique fixed point of the rewrite system above."""
+    try:
+        if p._canonical:
+            return p
+    except AttributeError:
+        raise TypeError(f"not a Process: {p!r}") from None
     return _canon(p, env, (), guarded=False)
 
 

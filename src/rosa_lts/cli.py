@@ -27,7 +27,7 @@ from .parser import parse_program
 from .process import DefinitionEnv
 
 # For input nested deeper than the interpreter's recursion limit allows:
-# the parser recurses once per parenthesis level, the semantic walkers
+# the parser recurses once per parenthesis level, the canonicalizer
 # once per tree level.
 _TOO_DEEP = "error: input nested too deeply"
 

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class RosaError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # ``args`` holds the message while ``__init__`` takes the fields,
+        # so unpickling restores both without calling ``__init__``.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ParseError(RosaError):

@@ -5,19 +5,18 @@ unguarded internal choices resolve first (non-deterministic rules), then
 unguarded probabilistic choices (all at once, with product
 probabilities), and only a process stable under both runs timed actions.
 Every walk covers only the unguarded positions: operands of the choices
-and of parallel, the left of ';' (the right is guarded by completion of
-the left), and through variables. `classify` is the dispatcher, one
-walk that builds no term and yields the layer and the actions a stable
-state can fire. The three `*_successors` functions are the rule
-families, each one linear walk that leaves stable operands as written.
+and of parallel, and the left of ';' (the right is guarded by
+completion of the left). `classify` is the dispatcher, one walk that
+builds no term and yields the layer and the actions a stable state can
+fire. The three `*_successors` functions are the rule families, each
+one linear walk that leaves stable operands as written.
 
-Recursion through process variables must pass an action guard. The
-walkers never descend below a prefix, so each carries the names it has
-unfolded on its current path (each operand gets its own path). Meeting
-one of them again means the walk would repeat itself forever, so
-exactly then it raises UnguardedRecursion naming the cycle (``P = P``,
-``P = 0;P``, or ``P = Q||{}0`` with ``Q = P+a.0``). Sibling operands
-and separate calls share nothing, so no count of unfolds can run out.
+The rules read canonical terms. Each entry point first canonicalizes
+its argument, which returns an already canonical node at once, so it
+answers for the canonical form: the same kinds, ``nd:`` paths and
+successors the builder emits. A canonical term has no unguarded
+variable, so unfolding and the unguarded-recursion check live in
+`canonical`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import enum
 from dataclasses import dataclass
 from typing import TypeAlias, Union
 
-from .errors import UnguardedRecursion
+from .canonical import canonicalize
 from .process import (
     DefinitionEnv,
     ExtChoice,
@@ -39,7 +38,6 @@ from .process import (
     Process,
     Rate,
     Seq,
-    Var,
 )
 
 #: Slack for probability sums accumulated from branch products.
@@ -90,32 +88,6 @@ class NodeKind(enum.Enum):
     SUCCESS = "success"
 
 
-def _unfold(
-    p: Process, env: DefinitionEnv, open_: tuple[str, ...]
-) -> tuple[Process, tuple[str, ...]]:
-    """Unfold root variables of ``p``; ``open_`` holds the names already
-    unfolded on this path since the last action guard. The walk keeps
-    a list and a set, so a chain of aliases unfolds in linear time."""
-    if not isinstance(p, Var):
-        return p, open_
-    path = list(open_)
-    seen = set(open_)
-    while isinstance(p, Var):
-        name = p.name
-        if name in seen:
-            raise UnguardedRecursion(tuple(path[path.index(name):]) + (name,))
-        path.append(name)
-        seen.add(name)
-        p = env.lookup(name)
-    return p, tuple(path)
-
-
-def unfold(p: Process, env: DefinitionEnv) -> Process:
-    """Replace a root-position variable by its binding until the root is
-    a real constructor; a name that comes back is unguarded recursion."""
-    return _unfold(p, env, ())[0]
-
-
 def sync_rate(alpha: Rate, beta: Rate) -> Rate:
     """Rate of a joint move: the minimum, with the infinite (passive)
     rate as top element, so a passive side adopts its partner's rate."""
@@ -128,21 +100,14 @@ def sync_rate(alpha: Rate, beta: Rate) -> Rate:
 
 # layer walk ----------------------------------------------------------
 
-_BINARY = (ExtChoice, Par, ProbChoice)
 _ND = (NodeKind.ND_UNSTABLE, ())
 _PROB = (NodeKind.PROB_UNSTABLE, ())
-_NEEDS_DET_STABLE = ("probabilistic stability is only defined for "
-                     "deterministically stable processes")
 
 
-def _layer(
-    p: Process, env: DefinitionEnv, open_: tuple[str, ...]
-) -> tuple[NodeKind | None, tuple[str, ...]]:
+def _layer(p: Process) -> tuple[NodeKind | None, tuple[str, ...]]:
     """``(layer, offers)``: ND_UNSTABLE, PROB_UNSTABLE or None (stable),
     and the action names a stable ``p`` can fire. An nd left operand
     ends the walk: the right is not visited."""
-    if type(p) is Var:
-        p, open_ = _unfold(p, env, open_)
     kind = type(p)
     if kind is Prefix:
         return None, (p.action,)
@@ -151,13 +116,11 @@ def _layer(
     if kind is IntChoice:
         return _ND
     if kind is Seq:
-        return _layer(p.left, env, open_)
-    if kind not in _BINARY:
-        raise TypeError(f"not a Process: {p!r}")
-    left, left_offers = _layer(p.left, env, open_)
+        return _layer(p.left)
+    left, left_offers = _layer(p.left)
     if left is NodeKind.ND_UNSTABLE:
         return _ND
-    right, right_offers = _layer(p.right, env, open_)
+    right, right_offers = _layer(p.right)
     if right is NodeKind.ND_UNSTABLE:
         return _ND
     if kind is ProbChoice or left is not None or right is not None:
@@ -170,30 +133,15 @@ def _layer(
     return None, offers
 
 
-def is_det_stable(p: Process, env: DefinitionEnv) -> bool:
-    """False iff ``p`` contains an unguarded internal choice."""
-    return _layer(p, env, ())[0] is not NodeKind.ND_UNSTABLE
-
-
-def is_prob_stable(p: Process, env: DefinitionEnv) -> bool:
-    """False iff ``p`` contains an unguarded probabilistic choice.
-    Requires ``is_det_stable(p, env)``; raises ValueError otherwise."""
-    layer = _layer(p, env, ())[0]
-    if layer is NodeKind.ND_UNSTABLE:
-        raise ValueError(_NEEDS_DET_STABLE)
-    return layer is None
-
-
 def classify(p: Process, env: DefinitionEnv) -> NodeKind:
-    """Which layer applies, checked in the fixed dispatch order:
-    nd-unstable, else prob-unstable, else terminated, else has timed
-    moves, else deadlocked. Expects canonical input (a terminated
-    process is literally Nil)."""
-    p0, open_ = _unfold(p, env, ())
-    layer, offers = _layer(p0, env, open_)
+    """Which layer applies to the canonical form of ``p``, checked in
+    the fixed dispatch order: nd-unstable, else prob-unstable, else
+    terminated, else has timed moves, else deadlocked."""
+    p = canonicalize(p, env)
+    layer, offers = _layer(p)
     if layer is not None:
         return layer
-    if type(p0) is Nil:
+    if type(p) is Nil:
         return NodeKind.SUCCESS
     return NodeKind.ACTION_ENABLED if offers else NodeKind.DEADLOCK
 
@@ -210,32 +158,27 @@ def _rebuild(template: Process, left: Process, right: Process) -> Process:
 # non-deterministic rules ---------------------------------------------
 
 
-def _nd(
-    p: Process, env: DefinitionEnv, open_: tuple[str, ...]
-) -> list[tuple[str, Process]]:
+def _nd(p: Process) -> list[tuple[str, Process]]:
     """``(path, successor)`` per unguarded internal choice; empty for a
     deterministically stable ``p``."""
-    if type(p) is Var:
-        p, open_ = _unfold(p, env, open_)
     kind = type(p)
     if kind is IntChoice:
         return [("L", p.left), ("R", p.right)]
     if kind is Prefix or kind is Nil:
         return []
     if kind is Seq:
-        return [("L." + k, Seq(s, p.right)) for k, s in _nd(p.left, env, open_)]
-    if kind not in _BINARY:
-        raise TypeError(f"not a Process: {p!r}")
+        return [("L." + k, Seq(s, p.right)) for k, s in _nd(p.left)]
     left, right = p.left, p.right
-    out = [("L." + k, _rebuild(p, s, right)) for k, s in _nd(left, env, open_)]
-    out += [("R." + k, _rebuild(p, left, s)) for k, s in _nd(right, env, open_)]
+    out = [("L." + k, _rebuild(p, s, right)) for k, s in _nd(left)]
+    out += [("R." + k, _rebuild(p, left, s)) for k, s in _nd(right)]
     return out
 
 
 def nd_successors(
     p: Process, env: DefinitionEnv
 ) -> list[tuple[NdBranch, Process]]:
-    """Resolve one unguarded internal choice per successor.
+    """Resolve one unguarded internal choice of the canonical form of
+    ``p`` per successor.
 
     An IntChoice at the root takes its two axiom branches; otherwise
     each unstable operand contributes its successors re-wrapped in the
@@ -243,7 +186,8 @@ def nd_successors(
     stable operands are left untouched. Raises ValueError for a
     deterministically stable ``p``.
     """
-    out = _nd(p, env, ())
+    p = canonicalize(p, env)
+    out = _nd(p)
     if not out:
         raise ValueError("nd_successors requires a deterministically "
                          f"unstable process, got {p}")
@@ -253,53 +197,50 @@ def nd_successors(
 # probabilistic rules -------------------------------------------------
 
 
-def _presolve(
-    p: Process, env: DefinitionEnv, open_: tuple[str, ...]
-) -> list[tuple[float, Process]] | None:
+def _presolve(p: Process) -> list[tuple[float, Process]] | None:
     """``(weight, successor)`` per resolution of the unguarded prob
     choices; None if there is none, and the caller keeps ``p`` as is."""
-    if type(p) is Var:
-        p, open_ = _unfold(p, env, open_)
     kind = type(p)
     if kind is Prefix or kind is Nil:
         return None
     if kind is ProbChoice:
         out: list[tuple[float, Process]] = []
         for w, branch in ((p.prob, p.left), (1.0 - p.prob, p.right)):
-            if w > 0.0:
-                sub = _presolve(branch, env, open_)
-                out.extend([(w, branch)] if sub is None else
-                           [(w * ws, s) for ws, s in sub])
+            sub = _presolve(branch)
+            out.extend([(w, branch)] if sub is None else
+                       [(w * ws, s) for ws, s in sub])
+        # A product of small weights can underflow to 0.
         return [(w, s) for w, s in out if w > 0.0]
-    if kind is ExtChoice or kind is Par:
-        left = _presolve(p.left, env, open_)
-        right = _presolve(p.right, env, open_)
-        if left is None and right is None:
-            return None
-        return [
-            (wl * wr, _rebuild(p, sl, sr))
-            for wl, sl in ([(1.0, p.left)] if left is None else left)
-            for wr, sr in ([(1.0, p.right)] if right is None else right)
-        ]
     if kind is Seq:
-        left = _presolve(p.left, env, open_)
+        left = _presolve(p.left)
         return None if left is None else [(w, Seq(s, p.right)) for w, s in left]
     if kind is IntChoice:
-        raise ValueError(_NEEDS_DET_STABLE)
-    raise TypeError(f"not a Process: {p!r}")
+        raise ValueError("probabilistic stability is only defined for "
+                         "deterministically stable processes")
+    left = _presolve(p.left)
+    right = _presolve(p.right)
+    if left is None and right is None:
+        return None
+    return [
+        (wl * wr, _rebuild(p, sl, sr))
+        for wl, sl in ([(1.0, p.left)] if left is None else left)
+        for wr, sr in ([(1.0, p.right)] if right is None else right)
+    ]
 
 
 def prob_successors(
     p: Process, env: DefinitionEnv
 ) -> list[tuple[Prob, Process]]:
-    """Resolve every unguarded probabilistic choice at once.
+    """Resolve every unguarded probabilistic choice of the canonical
+    form of ``p`` at once.
 
     The result is the cartesian product of per-choice resolutions; each
     successor's probability is the product of its chosen branch
-    probabilities, zero-probability branches are dropped, and the
-    returned probabilities sum to 1 within PROB_TOLERANCE.
+    probabilities, and the returned probabilities sum to 1 within
+    PROB_TOLERANCE.
     """
-    out = _presolve(p, env, ())
+    p = canonicalize(p, env)
+    out = _presolve(p)
     if out is None:
         raise ValueError("prob_successors requires a probabilistically "
                          f"unstable process, got {p}")
@@ -309,24 +250,20 @@ def prob_successors(
 # action rules --------------------------------------------------------
 
 
-def _act(
-    p: Process, env: DefinitionEnv, open_: tuple[str, ...]
-) -> list[tuple[Action, Process]]:
-    if type(p) is Var:
-        p, open_ = _unfold(p, env, open_)
+def _act(p: Process) -> list[tuple[Action, Process]]:
     kind = type(p)
     if kind is Prefix:
         return [(Action(p.action, p.rate), p.continuation)]
     if kind is Nil:
         return []
     if kind is ExtChoice:
-        return _act(p.left, env, open_) + _act(p.right, env, open_)
+        return _act(p.left) + _act(p.right)
     if kind is Seq:
-        return [(lbl, Seq(s, p.right)) for lbl, s in _act(p.left, env, open_)]
+        return [(lbl, Seq(s, p.right)) for lbl, s in _act(p.left)]
     if kind is not Par:
         raise ValueError(f"action_successors requires a stable process, got {p}")
-    pmoves = _act(p.left, env, open_)
-    qmoves = _act(p.right, env, open_)
+    pmoves = _act(p.left)
+    qmoves = _act(p.right)
     sync, left, right = p.sync, p.left, p.right
     out = [(a, Par(sync, s, right)) for a, s in pmoves if a.name not in sync]
     out += [(a, Par(sync, left, s)) for a, s in qmoves if a.name not in sync]
@@ -341,7 +278,8 @@ def _act(
 def action_successors(
     p: Process, env: DefinitionEnv
 ) -> list[tuple[Action, Process]]:
-    """All single-step timed transitions of a stable process.
+    """All single-step timed transitions of the canonical form of a
+    stable process.
 
     Prefixes fire; external choice keeps both sides' moves and discards
     the loser; parallel interleaves actions outside the sync set and
@@ -350,4 +288,4 @@ def action_successors(
     for parallel first left interleavings, then right, then joint moves.
     The empty result is a deadlock.
     """
-    return _act(p, env, ())
+    return _act(canonicalize(p, env))

@@ -9,6 +9,7 @@ successor lists, in the same order.
 
 from __future__ import annotations
 
+from rosa_lts.canonical import _unfold
 from rosa_lts.process import (
     DefinitionEnv,
     ExtChoice,
@@ -25,7 +26,6 @@ from rosa_lts.semantics import (
     NdBranch,
     NodeKind,
     Prob,
-    _unfold,
     sync_rate,
 )
 

@@ -185,12 +185,14 @@ def test_check_takes_a_3000_prefix_chain(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_490_action_chain_still_builds(tmp_path):
+def test_900_action_chain_still_builds(tmp_path):
+    # The build recurses once per level; at two frames per level the
+    # default limit of 1,000 frames would stop it near 490 actions.
     # Run as its own process so that the test runner's frames do not
     # count against the depth the command itself reaches.
     path = tmp_path / "chain.rosa"
     path.write_text(
-        ".".join(f"<a{i % 5},1.5>" for i in range(490)) + ".0\n", encoding="utf-8"
+        ".".join(f"<a{i % 5},1.5>" for i in range(900)) + ".0\n", encoding="utf-8"
     )
     proc = subprocess.run(
         [sys.executable, "-m", "rosa_lts.cli", str(path)],
@@ -198,4 +200,4 @@ def test_490_action_chain_still_builds(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "nodes: 491\nedges: 490\n" in proc.stdout
+    assert "nodes: 901\nedges: 900\n" in proc.stdout

@@ -24,8 +24,6 @@ from rosa_lts import (
     action_successors,
     canonicalize,
     classify,
-    is_det_stable,
-    is_prob_stable,
     nd_successors,
     parse_process_text,
     parse_program,
@@ -56,13 +54,14 @@ def test_unfold_diverges_on_unguarded_recursion():
 
 
 def test_det_stability():
-    assert not is_det_stable(IntChoice(a(), a("b")), EMPTY)
-    assert is_det_stable(Prefix("a", 0.3, IntChoice(a("b"), a("c"))), EMPTY)
-    assert is_det_stable(ExtChoice(a(), a("b")), EMPTY)
-    assert not is_det_stable(Par(frozenset(), IntChoice(a(), a("b")), a()), EMPTY)
-    assert not is_det_stable(Seq(IntChoice(a(), a("b")), a()), EMPTY)
+    nd, action = NodeKind.ND_UNSTABLE, NodeKind.ACTION_ENABLED
+    assert classify(IntChoice(a(), a("b")), EMPTY) == nd
+    assert classify(Prefix("a", 0.3, IntChoice(a("b"), a("c"))), EMPTY) == action
+    assert classify(ExtChoice(a(), a("b")), EMPTY) == action
+    assert classify(Par(frozenset(), IntChoice(a(), a("b")), a()), EMPTY) == nd
+    assert classify(Seq(IntChoice(a(), a("b")), a()), EMPTY) == nd
     # the right of ';' is guarded by completion of the left
-    assert is_det_stable(Seq(a(), IntChoice(a(), a("b"))), EMPTY)
+    assert classify(Seq(a(), IntChoice(a(), a("b"))), EMPTY) == action
 
 
 def test_det_stability_of_the_staged_pipeline_root():
@@ -73,18 +72,19 @@ def test_det_stability_of_the_staged_pipeline_root():
         "L = <k,0.8>\n"
         "M = E;(C*{0.25}L)||{i}R\n"
     )
-    assert is_det_stable(Var("M"), env)
+    assert classify(Var("M"), env) == NodeKind.ACTION_ENABLED
 
 
 def test_prob_stability():
     c = Prefix("g", 0.5, NIL)
     l = Prefix("k", 0.8, NIL)
-    assert not is_prob_stable(ProbChoice(0.25, c, l), EMPTY)
-    assert is_prob_stable(Prefix("g", 0.5, ProbChoice(0.25, c, l)), EMPTY)
-    assert not is_prob_stable(
+    prob, action = NodeKind.PROB_UNSTABLE, NodeKind.ACTION_ENABLED
+    assert classify(ProbChoice(0.25, c, l), EMPTY) == prob
+    assert classify(Prefix("g", 0.5, ProbChoice(0.25, c, l)), EMPTY) == action
+    assert classify(
         Par(frozenset({"i"}), ProbChoice(0.25, c, l), a("j")), EMPTY
-    )
-    assert is_prob_stable(Seq(a(), ProbChoice(0.25, c, l)), EMPTY)
+    ) == prob
+    assert classify(Seq(a(), ProbChoice(0.25, c, l)), EMPTY) == action
 
 
 def test_mutually_unguarded_definitions_are_diagnosed():
@@ -95,7 +95,7 @@ def test_mutually_unguarded_definitions_are_diagnosed():
         }
     )
     with pytest.raises(UnguardedRecursion):
-        is_det_stable(Var("P1"), env)
+        classify(Var("P1"), env)
 
 
 def test_nd_axiom_branches():
@@ -142,23 +142,24 @@ def test_nd_on_any_det_stable_process_is_a_contract_violation(source):
         nd_successors(parse_process_text(source), EMPTY)
 
 
-def test_prob_stability_requires_det_stability():
-    p = parse_process_text("(a.0*{0.5}b.0)||{}(c.0-d.0)")
-    with pytest.raises(ValueError, match="deterministically stable"):
-        is_prob_stable(p, EMPTY)
-
-
 def test_prob_axiom_branches_keep_variables_folded():
+    # Unguarded variables unfold to their bodies; a guarded one stays.
     env = DefinitionEnv(
-        bindings={"C": Prefix("g", 0.5, NIL), "L": Prefix("k", 0.8, NIL)}
+        bindings={"C": Prefix("g", 0.5, Var("C")), "L": Prefix("k", 0.8, NIL)}
     )
     succ = prob_successors(ProbChoice(0.25, Var("C"), Var("L")), env)
-    assert succ == [(Prob(0.25), Var("C")), (Prob(0.75), Var("L"))]
+    assert succ == [
+        (Prob(0.25), Prefix("g", 0.5, Var("C"))),
+        (Prob(0.75), Prefix("k", 0.8, NIL)),
+    ]
 
 
 def test_prob_zero_branch_is_pruned():
-    succ = prob_successors(ProbChoice(1.0, a(), a("b")), EMPTY)
-    assert succ == [(Prob(1.0), a())]
+    # S5 removes the choice, so no probabilistic layer is left.
+    p = parse_process_text("a.0*{1}b.0")
+    assert classify(p, EMPTY) == NodeKind.ACTION_ENABLED
+    with pytest.raises(ValueError, match="probabilistically unstable"):
+        prob_successors(p, EMPTY)
 
 
 def test_prob_product_resolution():
@@ -271,19 +272,39 @@ FAMILIES = {
 
 def test_layer_walks_match_the_reference():
     # One classification walk and linear families against the earlier
-    # separate stability walks, on raw (non-canonical) terms and on
-    # their canonical forms.
+    # separate stability walks. The entry points answer for the
+    # canonical form, so a raw term and its canonical form must both
+    # give the reference's results on the canonical form.
     rng = random.Random(3)
     seen = Counter()
     for _ in range(400):
         raw = gen_process(rng, 4, allow_var=True)
-        for p in (raw, canonicalize(raw, VAR_ENV)):
-            kind = classify(p, VAR_ENV)
-            assert kind == ref.classify(p, VAR_ENV), p
-            assert is_det_stable(p, VAR_ENV) == ref._ds(p, VAR_ENV, ()), p
-            if kind != NodeKind.ND_UNSTABLE:
-                assert is_prob_stable(p, VAR_ENV) == ref._ps(p, VAR_ENV, ()), p
-            family, reference = FAMILIES[kind]
-            assert family(p, VAR_ENV) == reference(p, VAR_ENV), p
-            seen[kind] += 1
+        canonical = canonicalize(raw, VAR_ENV)
+        kind = ref.classify(canonical, VAR_ENV)
+        family, reference = FAMILIES[kind]
+        expected = reference(canonical, VAR_ENV)
+        for p in (raw, canonical):
+            assert classify(p, VAR_ENV) == kind, p
+            assert family(p, VAR_ENV) == expected, p
+        seen[kind] += 1
     assert set(seen) == set(NodeKind), seen
+
+
+@pytest.mark.parametrize(
+    "entry", [classify, nd_successors, prob_successors, action_successors]
+)
+def test_entry_points_reject_non_processes(entry):
+    with pytest.raises(TypeError, match="not a Process"):
+        entry("a.0", EMPTY)
+
+
+def test_entry_points_answer_for_the_canonical_form():
+    # S1 turns 0;a.0 into a.0, and S4 orders the operands of '-'.
+    p = parse_process_text("0;a.0")
+    assert classify(p, EMPTY) == NodeKind.ACTION_ENABLED
+    assert action_successors(p, EMPTY) == [(Action("a", INF), NIL)]
+    succ = nd_successors(parse_process_text("b.0-a.0"), EMPTY)
+    assert succ == [(NdBranch("L"), a()), (NdBranch("R"), a("b"))]
+    # The unfolding that canonicalizes the root finds the cycle.
+    with pytest.raises(UnguardedRecursion):
+        classify(Var("P"), parse_program("P = 0;P\nmain = a.0"))
