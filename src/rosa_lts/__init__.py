@@ -20,7 +20,7 @@ from .builder import (
     build_lts,
     stats,
 )
-from .canonical import canonical_key, canonicalize, unfold
+from .canonical import canonical_key, canonicalize
 from .errors import (
     DuplicateDefinition,
     LexError,
@@ -30,8 +30,8 @@ from .errors import (
     UnguardedRecursion,
     ValidationError,
 )
-from .export import ExportOptions, label_text, to_dot, to_json, to_text
-from .parser import Token, parse_process, parse_process_text, parse_program, tokenize
+from .export import ExportOptions, to_dot, to_json, to_text
+from .parser import parse_process_text, parse_program
 from .process import (
     INF,
     NIL,
@@ -59,7 +59,6 @@ from .semantics import (
     classify,
     nd_successors,
     prob_successors,
-    sync_rate,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +90,6 @@ __all__ = [
     "Rate",
     "RosaError",
     "Seq",
-    "Token",
     "TransitionLabel",
     "UnboundVariable",
     "UnguardedRecursion",
@@ -102,18 +100,13 @@ __all__ = [
     "canonical_key",
     "canonicalize",
     "classify",
-    "label_text",
     "nd_successors",
-    "parse_process",
     "parse_process_text",
     "parse_program",
     "prob_successors",
     "pretty_print",
     "stats",
-    "sync_rate",
     "to_dot",
     "to_json",
     "to_text",
-    "tokenize",
-    "unfold",
 ]

@@ -80,12 +80,6 @@ def _unfold(
     return p, tuple(path)
 
 
-def unfold(p: Process, env: DefinitionEnv) -> Process:
-    """Replace a root-position variable by its binding until the root is
-    a real constructor; a name that comes back is unguarded recursion."""
-    return _unfold(p, env, ())[0]
-
-
 def canonicalize(p: Process, env: DefinitionEnv) -> Process:
     """The unique fixed point of the rewrite system above."""
     try:

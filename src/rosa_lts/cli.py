@@ -3,9 +3,9 @@ system, write one of the three output formats.
 
 Exit codes: 0 success (truncated builds included, with a warning on
 stderr); 1 file read/write errors; 2 parse or validation errors, and
-input nested deeper than the recursive walkers can follow; 3 unbound
-variables or unguarded recursion. Diagnostics go to stderr only, so the
-selected format is the only thing on stdout.
+input or states nested deeper than the recursive walkers can follow;
+3 unbound variables or unguarded recursion. Diagnostics go to stderr
+only, so the selected format is the only thing on stdout.
 """
 
 from __future__ import annotations
@@ -26,10 +26,12 @@ from .export import ExportOptions, to_dot, to_json, to_text
 from .parser import parse_program
 from .process import DefinitionEnv
 
-# For input nested deeper than the interpreter's recursion limit allows:
-# the parser recurses once per parenthesis level, the canonicalizer
-# once per tree level.
-_TOO_DEEP = "error: input nested too deeply"
+# For terms nested deeper than the interpreter's recursion limit allows:
+# the parser recurses once per parenthesis level of the input, the
+# canonicalizer once per tree level of a state, which a model that grows
+# with each step can reach from a shallow input.
+_INPUT_TOO_DEEP = "error: input nested too deeply"
+_STATE_TOO_DEEP = "error: a state is nested too deeply to build"
 
 
 def _positive_int(text: str) -> int:
@@ -48,8 +50,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Exit codes: 0 success (also truncated builds, which warn on "
-            "stderr); 1 read/write error; 2 parse/validation error or input "
-            "nested too deeply; 3 unbound variable or unguarded recursion."
+            "stderr); 1 read/write error; 2 parse/validation error, or input "
+            "or a state nested too deeply; 3 unbound variable or unguarded "
+            "recursion."
         ),
     )
     parser.add_argument(
@@ -96,12 +99,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> int:
     try:
         if args.input == "-":
-            source = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            source = Path(args.input).read_text(encoding="utf-8")
+            data = Path(args.input).read_bytes()
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
+    # An invalid byte becomes a lone surrogate, which no token matches:
+    # the lexer reports it at its line and column under any locale.
+    source = data.decode("utf-8", "surrogateescape")
 
     try:
         env = parse_program(source)
@@ -109,7 +115,7 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        print(_TOO_DEEP, file=sys.stderr)
+        print(_INPUT_TOO_DEEP, file=sys.stderr)
         return 2
 
     if args.check:
@@ -124,7 +130,7 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        print(_TOO_DEEP, file=sys.stderr)
+        print(_STATE_TOO_DEEP, file=sys.stderr)
         return 2
 
     if lts.truncated:

@@ -1,4 +1,4 @@
-"""Tokenizer and recursive-descent parser for the ASCII process syntax.
+"""Lexer and recursive-descent parser for the ASCII process syntax.
 
 Binding tightness, tightest first: prefix ``.``, then the three choices
 (``-``, ``+``, ``*{r}``, one shared level, left-associative), then
@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from typing import NamedTuple
 
 from .errors import DuplicateDefinition, LexError, ParseError, ValidationError
 from .process import (
@@ -55,17 +54,6 @@ EQUALS = "EQUALS"
 EOF = "EOF"
 
 
-class Token(NamedTuple):
-    kind: str
-    lexeme: str
-    line: int
-    column: int
-
-    @property
-    def position(self) -> tuple[int, int]:
-        return (self.line, self.column)
-
-
 # NUMBER and IDENT are token kinds; `skip` and `newline` yield no token.
 # Digits and letters are ASCII only: other Unicode digits and letters
 # begin no token.
@@ -99,25 +87,19 @@ _FIXED_KIND = {
 }
 
 
-def tokenize(source: str, first_line: int = 1) -> list[Token]:
+# Tokens as four parallel lists: their kinds, lexemes, lines and columns.
+_Scan = tuple[list[str], list[str], list[int], list[int]]
+
+
+def _scan(source: str, first_line: int) -> _Scan:
     """Split ``source`` into tokens.
 
     Whitespace separates tokens and is otherwise ignored; ``#`` starts a
     comment running to end of line. ``||`` is one token, ``inf`` is the
     infinite-rate keyword, and a standalone ``0`` is ZERO (``0.5`` stays
     a NUMBER). Positions are 1-based; ``first_line`` numbers the first
-    line, so callers tokenizing one line of a larger file keep accurate
-    positions.
+    line, so a line scanned on its own keeps its place in the file.
     """
-    return list(map(Token, *_scan(source, first_line)))
-
-
-# Tokens as four parallel lists: their kinds, lexemes, lines and columns.
-_Scan = tuple[list[str], list[str], list[int], list[int]]
-
-
-def _scan(source: str, first_line: int) -> _Scan:
-    """`tokenize` without the Token objects, which the parser never needs."""
     kinds, lexemes, lines, columns = scan = ([], [], [], [])
     match = _TOKEN_RE.match
     line = first_line
@@ -157,14 +139,15 @@ class _Parser:
     goes into ``var_names``.
     """
 
-    def __init__(self, scan: _Scan, first_line: int = 1, start: int = 0):
+    def __init__(self, scan: _Scan, start: int = 0):
         """Parse the token lists of ``scan`` from index ``start`` on.
-        ``kinds`` gets the EOF sentinel appended."""
+        ``kinds`` gets the EOF sentinel appended. End of input is just
+        past the last token, or at 1:1 when there is none."""
         self.kinds, self.lexemes, self.lines, self.columns = scan
-        if len(self.kinds) > start:
+        if self.kinds:
             self.end = (self.lines[-1], self.columns[-1] + len(self.lexemes[-1]))
         else:
-            self.end = (first_line, 1)
+            self.end = (1, 1)
         self.kinds.append(EOF)
         self.pos = start
         self.var_names: set[str] = set()
@@ -317,14 +300,8 @@ class _Parser:
         return float(self.lexemes[pos])
 
 
-def parse_process(tokens: list[Token]) -> Process:
-    """Parse one complete process expression from ``tokens``."""
-    scan = [list(field) for field in zip(*tokens)] or [[], [], [], []]
-    return _Parser(scan).parse_full_process()
-
-
 def parse_process_text(source: str) -> Process:
-    """Convenience wrapper: tokenize and parse a single expression."""
+    """Parse a single process expression."""
     return _Parser(_scan(source, 1)).parse_full_process()
 
 
@@ -341,9 +318,9 @@ def parse_program(source: str) -> DefinitionEnv:
     """
     bindings: dict[str, Process] = {}
     bare_names: dict[str, set[str]] = {}
-    # Lines end at \n only, the one line end the tokenizer counts (a
-    # \r before it is skipped whitespace); str.splitlines would also
-    # break at characters such as \x0c that the tokenizer rejects.
+    # Lines end at \n only, the one line end the lexer counts (a \r
+    # before it is skipped whitespace); str.splitlines would also break
+    # at characters such as \x0c that the lexer rejects.
     for lineno, text in enumerate(source.split("\n"), start=1):
         kinds, lexemes, _, columns = scan = _scan(text, lineno)
         if not kinds:
@@ -353,7 +330,7 @@ def parse_program(source: str) -> DefinitionEnv:
             name, start = lexemes[0], 2
         if name in bindings:
             raise DuplicateDefinition(name, lineno, columns[0])
-        parser = _Parser(scan, lineno, start)
+        parser = _Parser(scan, start)
         bindings[name] = parser.parse_full_process()
         bare_names[name] = parser.var_names
     if not bindings:

@@ -13,13 +13,10 @@ tree built around already printed subtrees, renders only the new nodes.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import TypeAlias, Union
 
 from .errors import UnboundVariable
-
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 #: Reserved spelling of the infinite rate; never a valid action or
 #: process name.
@@ -49,8 +46,9 @@ Rate: TypeAlias = Union[float, Infinite]
 
 
 def is_valid_name(name: str) -> bool:
-    """True for identifiers usable as action or process names."""
-    return bool(IDENT_RE.match(name)) and name != INF_KEYWORD
+    """True for identifiers usable as action or process names: an
+    ASCII letter or ``_``, then ASCII letters, digits or ``_``."""
+    return name.isascii() and name.isidentifier() and name != INF_KEYWORD
 
 
 def _check_name(name: str, what: str) -> None:
@@ -204,11 +202,6 @@ class DefinitionEnv:
 
     def root_process(self) -> Process:
         return self.lookup(self.root)
-
-    @classmethod
-    def for_process(cls, process: Process) -> DefinitionEnv:
-        """A one-binding environment analysing ``process`` directly."""
-        return cls(bindings={MAIN_NAME: process}, root=MAIN_NAME)
 
 
 def format_number(value: float) -> str:

@@ -31,6 +31,12 @@ VAR_ENV = DefinitionEnv(
     }
 )
 
+
+def for_process(p: Process) -> DefinitionEnv:
+    """A one-binding environment that analyses ``p`` as ``main``."""
+    return DefinitionEnv(bindings={"main": p})
+
+
 # rates whose repr round-trips cleanly and that exercise min-rate sync
 RATES = [0.1, 0.3, 0.5, 1.0, 2.5, 10.0]
 

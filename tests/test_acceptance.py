@@ -35,7 +35,7 @@ from rosa_lts import (
 )
 from rosa_lts.cli import main as cli_main
 from bisim import bisimilar, raw_key_lts
-from gen import gen_probabilistic_process, gen_process
+from gen import for_process, gen_probabilistic_process, gen_process
 
 DATA = Path(__file__).parent / "data"
 CASE_STUDY = DATA / "case_study.rosa"
@@ -102,7 +102,7 @@ def test_04_probabilistic_fan_outs_always_sum_to_one():
     for _ in range(1000):
         p = gen_probabilistic_process(rng, depth=3)
         lts = build_lts(
-            DefinitionEnv.for_process(p), BuildConfig(max_states=5000)
+            for_process(p), BuildConfig(max_states=5000)
         )
         assert not lts.truncated
         sums = {}
@@ -128,7 +128,7 @@ def test_06_canonical_and_syntactic_dedup_build_bisimilar_graphs():
     rng = random.Random(606)
     for _ in range(200):
         p = gen_process(rng, depth=4, dyadic=True)
-        env = DefinitionEnv.for_process(p)
+        env = for_process(p)
         config = BuildConfig(max_states=20_000)
         merged = build_lts(env, config)
         raw = raw_key_lts(env, config)
@@ -208,5 +208,5 @@ def test_10_every_finite_input_terminates_without_truncation():
     rng = random.Random(1010)
     for _ in range(100):
         p = gen_process(rng, depth=3, dyadic=True)
-        lts = build_lts(DefinitionEnv.for_process(p))
+        lts = build_lts(for_process(p))
         assert not lts.truncated, pretty_print(p)

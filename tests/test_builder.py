@@ -25,7 +25,7 @@ from rosa_lts import (
     stats,
 )
 from bisim import raw_key_lts
-from gen import gen_process
+from gen import for_process, gen_process
 
 
 def test_blocking_parallel_build():
@@ -167,7 +167,7 @@ def test_random_builds_satisfy_graph_invariants():
     rng = random.Random(31)
     for _ in range(60):
         p = gen_process(rng, depth=3, dyadic=True)
-        env = DefinitionEnv.for_process(p)
+        env = for_process(p)
         lts = build_lts(env, BuildConfig(max_states=2000))
         assert not lts.truncated
         ids = {n.id for n in lts.nodes}

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -148,9 +149,27 @@ def test_output_matches_golden_file(golden, tmp_path):
 
 
 def test_reads_stdin_dash(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("a.0\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a.0\n")))
     assert main(["-"]) == 0
     assert "#0 [action] a.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("read_from", ["file", "stdin"])
+def test_invalid_utf8_is_a_lex_error(tmp_path, read_from):
+    # PYTHONIOENCODING makes stdin decode strictly, as a UTF-8 desktop
+    # locale does.
+    source = b"P = a.0\xff\n"
+    path = tmp_path / "bad.rosa"
+    path.write_bytes(source)
+    from_file = read_from == "file"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rosa_lts.cli", str(path) if from_file else "-"],
+        input=b"" if from_file else source,
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: 1:8: unexpected character '\\udcff'\n"
 
 
 def test_missing_file(tmp_path, capsys):
@@ -158,29 +177,40 @@ def test_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+INPUT_TOO_DEEP = "error: input nested too deeply\n"
+STATE_TOO_DEEP = "error: a state is nested too deeply to build\n"
+
 DEEP_INPUTS = {
+    # the parser recurses once per parenthesis level
+    "parentheses": ("(" * 300 + "0" + ")" * 300 + "\n", INPUT_TOO_DEEP),
     # parses in a loop; the build's recursion gives out
-    "prefix_chain": ".".join(f"a{i % 5}" for i in range(3000)) + ".0\n",
+    "prefix_chain": (
+        ".".join(f"a{i % 5}" for i in range(3000)) + ".0\n",
+        STATE_TOO_DEEP,
+    ),
     # parses definition by definition; canonicalization unfolds them
     # into one 600-level choice
-    "unfolded_choice": "".join(f"P{i} = P{i + 1} + b{i}\n" for i in range(600))
-    + "P600 = 0\nmain = P0\n",
+    "unfolded_choice": (
+        "".join(f"P{i} = P{i + 1} + b{i}\n" for i in range(600))
+        + "P600 = 0\nmain = P0\n",
+        STATE_TOO_DEEP,
+    ),
 }
 
 
-@pytest.mark.parametrize("source", DEEP_INPUTS.values(), ids=DEEP_INPUTS.keys())
-def test_deep_input_is_a_one_line_error(tmp_path, capsys, source):
+@pytest.mark.parametrize("source,message", DEEP_INPUTS.values(), ids=DEEP_INPUTS.keys())
+def test_deep_input_is_a_one_line_error(tmp_path, capsys, source, message):
     path = tmp_path / "deep.rosa"
     path.write_text(source, encoding="utf-8")
     assert main([str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: input nested too deeply\n"
+    assert captured.err == message
     assert captured.out == ""
 
 
 def test_check_takes_a_3000_prefix_chain(tmp_path, capsys):
     path = tmp_path / "chain.rosa"
-    path.write_text(DEEP_INPUTS["prefix_chain"], encoding="utf-8")
+    path.write_text(DEEP_INPUTS["prefix_chain"][0], encoding="utf-8")
     assert main([str(path), "--check"]) == 0
     assert capsys.readouterr().err == ""
 

@@ -1,4 +1,4 @@
-"""Tokenizer and parser behaviour, including error positions."""
+"""Lexer and parser behaviour, including error positions."""
 
 import random
 
@@ -18,22 +18,24 @@ from rosa_lts import (
     Seq,
     ValidationError,
     Var,
-    parse_process,
     parse_process_text,
     parse_program,
     pretty_print,
-    tokenize,
 )
+from rosa_lts.parser import _scan
 from gen import gen_process
 
 
 def kinds(source):
-    return [t.kind for t in tokenize(source)]
+    return _scan(source, 1)[0]
+
+
+def lexemes(source):
+    return _scan(source, 1)[1]
 
 
 def test_tokenize_rated_prefix():
-    toks = tokenize("<a,0.3>.0")
-    assert [(t.kind, t.lexeme) for t in toks] == [
+    assert list(zip(*_scan("<a,0.3>.0", 1)[:2])) == [
         ("LANGLE", "<"),
         ("IDENT", "a"),
         ("COMMA", ","),
@@ -49,8 +51,8 @@ def test_tokenize_prob_choice():
 
 
 def test_tokenize_empty_and_comments():
-    assert tokenize("") == []
-    assert tokenize("  # only a comment") == []
+    assert kinds("") == []
+    assert kinds("  # only a comment") == []
     assert kinds("a.0 # trailing") == ["IDENT", "DOT", "ZERO"]
 
 
@@ -66,18 +68,17 @@ def test_tokenize_distinguishes_zero_from_numbers():
     assert kinds("0") == ["ZERO"]
     assert kinds("0.5") == ["NUMBER"]
     assert kinds("10") == ["NUMBER"]
-    assert [t.lexeme for t in tokenize("2e3 1.5e-2")] == ["2e3", "1.5e-2"]
+    assert lexemes("2e3 1.5e-2") == ["2e3", "1.5e-2"]
 
 
 def test_token_positions_are_one_based():
-    toks = tokenize("a\n  b")
-    assert toks[0].position == (1, 1)
-    assert toks[1].position == (2, 3)
+    _, _, lines, columns = _scan("a\n  b", 1)
+    assert list(zip(lines, columns)) == [(1, 1), (2, 3)]
 
 
 def test_lex_error_position():
     with pytest.raises(LexError) as err:
-        tokenize("a.0 @ b")
+        kinds("a.0 @ b")
     assert err.value.position == (1, 5)
     assert str(err.value) == "1:5: unexpected character '@'"
     assert (err.value.expected, err.value.found) == ("a token", "'@'")
@@ -85,17 +86,17 @@ def test_lex_error_position():
 
 def test_single_pipe_is_not_a_token():
     with pytest.raises(LexError):
-        tokenize("a.0|b.0")
+        kinds("a.0|b.0")
 
 
 @pytest.mark.parametrize("source,position", [("²", (1, 1)), ("<a,٣>", (1, 4))])
 def test_non_ascii_digits_begin_no_token(source, position):
     with pytest.raises(LexError) as err:
-        tokenize(source)
+        kinds(source)
     assert err.value.position == position
 
 
-# Line breaks for str.splitlines, but characters the tokenizer rejects.
+# Line breaks for str.splitlines, but characters the lexer rejects.
 FOREIGN_LINE_ENDS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
@@ -260,9 +261,16 @@ def test_parse_program_duplicate_definition():
 
 
 def test_parse_program_error_positions_use_file_lines():
-    with pytest.raises(ParseError) as err:
-        parse_program("P = a.0\nQ = b.\n")
-    assert err.value.line == 2
+    cases = [
+        ("P = a.0\nQ = b.\n", (2, 7)),
+        # an empty body ends just after its '='
+        ("P =", (1, 4)),
+        ("Q = a.0\nP =   # c", (2, 4)),
+    ]
+    for source, position in cases:
+        with pytest.raises(ParseError) as err:
+            parse_program(source)
+        assert err.value.position == position, source
 
 
 def test_parse_program_empty_input_is_an_error():
@@ -286,7 +294,7 @@ def test_round_trip_on_random_asts():
     rng = random.Random(20210)
     for _ in range(300):
         p = gen_process(rng, depth=3, allow_var=True)
-        again = parse_process(tokenize(pretty_print(p)))
+        again = parse_process_text(pretty_print(p))
         assert again == p, pretty_print(p)
 
 

@@ -1,4 +1,4 @@
-"""Generated-input laws of the tokenizer and the parser."""
+"""Generated-input laws of the lexer and the parser."""
 
 import string
 
@@ -20,8 +20,8 @@ from rosa_lts import (
     parse_process_text,
     parse_program,
     pretty_print,
-    tokenize,
 )
+from rosa_lts.parser import _scan
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -73,7 +73,7 @@ def test_printing_then_parsing_gives_the_term_back(p):
 
 
 # Pieces that lex on their own, in any order: every join of them is
-# valid input to the tokenizer.
+# valid input to the lexer.
 PIECES = [
     "a", "b1", "_x", "inf", "0", "12", "0.5", "1e3", "2.5E-2", "||",
     ".", ";", "-", "+", "*", "<", ">", ",", "{", "}", "(", ")", "=",
@@ -86,9 +86,10 @@ PIECES = [
 def test_token_positions_point_at_their_lexemes(pieces):
     source = "".join(pieces)
     lines = source.split("\n")
-    for tok in tokenize(source):
-        start = tok.column - 1
-        assert lines[tok.line - 1][start : start + len(tok.lexeme)] == tok.lexeme
+    _, lexemes, token_lines, columns = _scan(source, 1)
+    for lexeme, line, column in zip(lexemes, token_lines, columns):
+        start = column - 1
+        assert lines[line - 1][start : start + len(lexeme)] == lexeme
 
 
 DEFINED = ["P", "Q", "R", "main"]
@@ -139,7 +140,7 @@ def test_a_foreign_character_is_a_lex_error_at_that_character(p, data):
     assume(source[at - 1 : at + 1] != "||")
     char = data.draw(st.characters().filter(lambda c: c not in ALPHABET))
     try:
-        tokenize(source[:at] + char + source[at:])
+        _scan(source[:at] + char + source[at:], 1)
     except LexError as err:
         assert err.position == (1, at + 1)
         assert err.char == char

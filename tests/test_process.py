@@ -11,7 +11,6 @@ from rosa_lts import (
     ExtChoice,
     Infinite,
     IntChoice,
-    Nil,
     Par,
     Prefix,
     ProbChoice,
@@ -57,6 +56,8 @@ def test_infinite_is_a_singleton_value():
         lambda: ProbChoice(1.5, NIL, NIL),
         lambda: ProbChoice(-0.1, NIL, NIL),
         lambda: Par(frozenset({"not an ident"}), NIL, NIL),
+        lambda: Var("é"),
+        lambda: Var("a\n"),
     ],
 )
 def test_invalid_constructions_are_rejected(build):
@@ -120,12 +121,6 @@ def test_definition_env_lookup():
     assert env.root_process() == a()
     with pytest.raises(UnboundVariable):
         env.lookup("Q")
-
-
-def test_for_process_wraps_under_main():
-    env = DefinitionEnv.for_process(NIL)
-    assert env.root == "main"
-    assert isinstance(env.root_process(), Nil)
 
 
 def test_cached_key_is_invisible_to_equality_hash_and_repr():

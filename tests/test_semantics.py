@@ -28,9 +28,9 @@ from rosa_lts import (
     parse_process_text,
     parse_program,
     prob_successors,
-    sync_rate,
-    unfold,
 )
+from rosa_lts.canonical import _unfold
+from rosa_lts.semantics import sync_rate
 import reference_semantics as ref
 from gen import VAR_ENV, gen_process
 
@@ -43,14 +43,14 @@ def a(name="a", cont=NIL):
 
 def test_unfold_resolves_root_variables():
     env = DefinitionEnv(bindings={"E": Prefix("a", 0.1, NIL)})
-    assert unfold(Var("E"), env) == Prefix("a", 0.1, NIL)
-    assert unfold(NIL, env) == NIL
+    assert _unfold(Var("E"), env, ())[0] == Prefix("a", 0.1, NIL)
+    assert _unfold(NIL, env, ())[0] == NIL
 
 
 def test_unfold_diverges_on_unguarded_recursion():
     env = DefinitionEnv(bindings={"P": Var("P")})
     with pytest.raises(UnguardedRecursion):
-        unfold(Var("P"), env)
+        _unfold(Var("P"), env, ())[0]
 
 
 def test_det_stability():
