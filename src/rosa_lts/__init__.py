@@ -37,14 +37,12 @@ from .process import (
     NIL,
     DefinitionEnv,
     ExtChoice,
-    Infinite,
     IntChoice,
     Nil,
     Par,
     Prefix,
     ProbChoice,
     Process,
-    Rate,
     Seq,
     Var,
     pretty_print,
@@ -71,7 +69,6 @@ __all__ = [
     "ExportOptions",
     "ExtChoice",
     "INF",
-    "Infinite",
     "IntChoice",
     "LexError",
     "Lts",
@@ -87,7 +84,6 @@ __all__ = [
     "Prob",
     "ProbChoice",
     "Process",
-    "Rate",
     "RosaError",
     "Seq",
     "TransitionLabel",

@@ -43,7 +43,8 @@ class LexError(ParseError):
 
 class ValidationError(RosaError):
     """A literal that lexes fine but violates a value constraint
-    (probability outside [0,1], non-positive finite rate)."""
+    (probability outside [0,1], a rate that is not positive or that
+    overflows to infinity)."""
 
     def __init__(self, line: int, column: int, message: str):
         self.line = line

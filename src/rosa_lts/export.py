@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 
 from .builder import Lts, stats
-from .process import format_number, format_rate
+from .process import INF, INF_KEYWORD, format_number
 from .semantics import Action, NdBranch, NodeKind, Prob, TransitionLabel
 
 NODE_LABELS = ("id", "expr", "both")
@@ -32,7 +32,7 @@ def label_text(label: TransitionLabel) -> str:
     if isinstance(label, Prob):
         return f"p={format_number(label.p)}"
     if isinstance(label, Action):
-        return f"{label.name},{format_rate(label.rate)}"
+        return f"{label.name},{format_number(label.rate)}"
     raise TypeError(f"not a transition label: {label!r}")
 
 
@@ -106,7 +106,8 @@ def _label_json(label: TransitionLabel) -> dict:
     if isinstance(label, Prob):
         return {"type": "prob", "p": label.p}
     if isinstance(label, Action):
-        rate = "inf" if not isinstance(label.rate, float) else label.rate
+        # json.dumps would write the non-standard token Infinity.
+        rate = INF_KEYWORD if label.rate == INF else label.rate
         return {"type": "action", "name": label.name, "rate": rate}
     raise TypeError(f"not a transition label: {label!r}")
 

@@ -11,7 +11,6 @@ action constants (``a`` meaning ``a.0``).
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
 
 from .errors import DuplicateDefinition, LexError, ParseError, ValidationError
@@ -28,7 +27,6 @@ from .process import (
     Prefix,
     ProbChoice,
     Process,
-    Rate,
     Seq,
     Var,
 )
@@ -234,7 +232,7 @@ class _Parser:
     def parse_prefix(self) -> Process:
         kinds = self.kinds
         lexemes = self.lexemes
-        heads: list[tuple[str, Rate]] = []
+        heads: list[tuple[str, float]] = []
         while True:
             pos = self.pos
             kind = kinds[pos]
@@ -275,14 +273,16 @@ class _Parser:
 
     # literals ---------------------------------------------------------
 
-    def parse_rate(self) -> Rate:
+    def parse_rate(self) -> float:
         if self.kinds[self.pos] == INF_TOK:
             self.pos += 1
             return INF
         value = self.parse_number("a rate (positive number or 'inf')")
         if value <= 0.0:
             raise self.invalid("rate must be positive")
-        if value == math.inf:
+        if value == INF:
+            # A literal such as 1e999 overflows to the passive rate,
+            # which the source spells 'inf'.
             raise self.invalid("rate must be finite")
         return value
 

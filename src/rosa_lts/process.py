@@ -4,6 +4,10 @@ The operator that binds loosest sits at the root: sequential composition
 is split off first, then parallel, then the three choices, then action
 prefixes, with plain actions and process variables as leaves.
 
+A rate is a positive float. The passive rate `INF` is IEEE infinity,
+which prints as ``inf`` and is the identity of ``min``, the joint rate
+of a synchronization.
+
 Nodes are frozen and slotted, so callers cannot attach attributes to
 them. Each node's printed form is computed once, from its children's
 printed forms, and cached on the node; printing a tree again, or a new
@@ -26,23 +30,10 @@ INF_KEYWORD = "inf"
 MAIN_NAME = "main"
 
 
-@dataclass(frozen=True)
-class Infinite:
-    """Rate of a passive action: its timing is imposed by the
-    synchronization partner."""
-
-    def __repr__(self) -> str:
-        return "Infinite"
-
-
-#: The one infinite rate value. All ``Infinite()`` instances compare equal;
-#: this constant is just the conventional spelling.
-INF = Infinite()
-
-#: A rate is a strictly positive finite float or the distinguished
-#: infinite value. IEEE infinities are rejected so they cannot leak into
-#: rate arithmetic.
-Rate: TypeAlias = Union[float, Infinite]
+#: The rate of a passive action, whose timing is imposed by the
+#: synchronization partner. A rate is a positive float, and this is the
+#: largest one, so the joint rate ``min(r, INF)`` of a sync is ``r``.
+INF = math.inf
 
 
 def is_valid_name(name: str) -> bool:
@@ -56,14 +47,16 @@ def _check_name(name: str, what: str) -> None:
         raise ValueError(f"invalid {what}: {name!r}")
 
 
-def _check_rate(rate: Rate) -> Rate:
-    if isinstance(rate, Infinite):
-        return rate
-    if isinstance(rate, (int, float)) and not isinstance(rate, bool):
-        value = float(rate)
-        if math.isfinite(value) and value > 0.0:
-            return value
-    raise ValueError(f"rate must be a positive finite number or INF: {rate!r}")
+def _number(value: object, what: str) -> float:
+    """``value`` as a float. A bool, a non-number and an int too large
+    for a float are rejected; such an int is finite, so it must not
+    become the passive rate `INF`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a number: {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,17 +97,21 @@ class Var(_Term):
 class Prefix(_Term):
     """``<a,r>.P``: perform action ``a`` at rate ``r``, then behave as P.
 
-    An undecorated action ``a`` is the same node with an infinite rate,
-    and a trailing action with no continuation gets an explicit Nil.
+    The rate is a positive float; an undecorated action ``a`` is the
+    same node with rate `INF`, and a trailing action with no
+    continuation gets an explicit Nil.
     """
 
     action: str
-    rate: Rate
+    rate: float
     continuation: Process
 
     def __post_init__(self) -> None:
         _check_name(self.action, "action name")
-        object.__setattr__(self, "rate", _check_rate(self.rate))
+        value = _number(self.rate, "rate")
+        if not value > 0.0:
+            raise ValueError(f"rate must be positive: {value!r}")
+        object.__setattr__(self, "rate", value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,10 +147,7 @@ class ProbChoice(_Term):
     right: Process
 
     def __post_init__(self) -> None:
-        p = self.prob
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise ValueError(f"probability must be a number: {p!r}")
-        value = float(p)
+        value = _number(self.prob, "probability")
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"probability outside [0,1]: {value!r}")
         object.__setattr__(self, "prob", value)
@@ -169,6 +163,10 @@ class Par(_Term):
     right: Process
 
     def __post_init__(self) -> None:
+        if isinstance(self.sync, str):
+            # A string is an iterable of one-letter names; "ab" is a typo
+            # for {"ab"} at least as often as for {"a", "b"}.
+            raise ValueError(f"sync set must be a set of names: {self.sync!r}")
         names = frozenset(self.sync)
         for name in names:
             _check_name(name, "synchronization action name")
@@ -209,10 +207,6 @@ def format_number(value: float) -> str:
     return repr(float(value))
 
 
-def format_rate(rate: Rate) -> str:
-    return INF_KEYWORD if isinstance(rate, Infinite) else format_number(rate)
-
-
 # Binding tightness, loosest first. A child whose level is below the
 # minimum its context requires gets parenthesized.
 _SEQ, _PAR, _CHOICE, _PREFIX, _ATOM = range(5)
@@ -233,9 +227,9 @@ def pretty_print(p: Process) -> str:
     """Render ``p`` in tool syntax with the fewest parentheses that
     re-parse to the same tree.
 
-    Sync sets print sorted, numbers in shortest round-trip form, the
-    infinite rate as ``inf``; a prefix with an infinite rate prints
-    undecorated (``a.P`` rather than ``<a,inf>.P``).
+    Sync sets print sorted, numbers in shortest round-trip form; a
+    prefix with rate `INF` prints undecorated (``a.P`` rather than
+    ``<a,inf>.P``).
 
     The result is cached on every node rendered on the way, so each
     node object is rendered once. Nodes are filled bottom-up with an
@@ -279,7 +273,7 @@ def _render(p: Process) -> str:
     if kind is Nil:
         return "0"
     if kind is Prefix:
-        if isinstance(p.rate, Infinite):
+        if p.rate == INF:
             head = p.action
         else:
             head = f"<{p.action},{format_number(p.rate)}>"

@@ -9,7 +9,9 @@ and of parallel, and the left of ';' (the right is guarded by
 completion of the left). `classify` is the dispatcher, one walk that
 builds no term and yields the layer and the actions a stable state can
 fire. The three `*_successors` functions are the rule families, each
-one linear walk that leaves stable operands as written.
+one linear walk that leaves stable operands as written. A joint move
+takes the plain ``min`` of its two rates, whose identity is the passive
+rate `INF`.
 
 The rules read canonical terms. Each entry point first canonicalizes
 its argument, which returns an already canonical node at once, so it
@@ -29,14 +31,12 @@ from .canonical import canonicalize
 from .process import (
     DefinitionEnv,
     ExtChoice,
-    Infinite,
     IntChoice,
     Nil,
     Par,
     Prefix,
     ProbChoice,
     Process,
-    Rate,
     Seq,
 )
 
@@ -74,7 +74,7 @@ class Action:
     """Timed execution of a named action."""
 
     name: str
-    rate: Rate
+    rate: float
 
 
 TransitionLabel: TypeAlias = Union[NdBranch, Prob, Action]
@@ -86,16 +86,6 @@ class NodeKind(enum.Enum):
     ACTION_ENABLED = "action"
     DEADLOCK = "deadlock"
     SUCCESS = "success"
-
-
-def sync_rate(alpha: Rate, beta: Rate) -> Rate:
-    """Rate of a joint move: the minimum, with the infinite (passive)
-    rate as top element, so a passive side adopts its partner's rate."""
-    if isinstance(alpha, Infinite):
-        return beta
-    if isinstance(beta, Infinite):
-        return alpha
-    return min(alpha, beta)
 
 
 # layer walk ----------------------------------------------------------
@@ -209,8 +199,7 @@ def _presolve(p: Process) -> list[tuple[float, Process]] | None:
             sub = _presolve(branch)
             out.extend([(w, branch)] if sub is None else
                        [(w * ws, s) for ws, s in sub])
-        # A product of small weights can underflow to 0.
-        return [(w, s) for w, s in out if w > 0.0]
+        return out
     if kind is Seq:
         left = _presolve(p.left)
         return None if left is None else [(w, Seq(s, p.right)) for w, s in left]
@@ -244,7 +233,9 @@ def prob_successors(
     if out is None:
         raise ValueError("prob_successors requires a probabilistically "
                          f"unstable process, got {p}")
-    return [(Prob(w), s) for w, s in out]
+    # A zero branch, or a product of small weights that underflows,
+    # leaves no successor.
+    return [(Prob(w), s) for w, s in out if w > 0.0]
 
 
 # action rules --------------------------------------------------------
@@ -268,7 +259,7 @@ def _act(p: Process) -> list[tuple[Action, Process]]:
     out = [(a, Par(sync, s, right)) for a, s in pmoves if a.name not in sync]
     out += [(a, Par(sync, left, s)) for a, s in qmoves if a.name not in sync]
     out += [
-        (Action(pl.name, sync_rate(pl.rate, ql.rate)), Par(sync, ps_, qs))
+        (Action(pl.name, min(pl.rate, ql.rate)), Par(sync, ps_, qs))
         for pl, ps_ in pmoves if pl.name in sync
         for ql, qs in qmoves if ql.name == pl.name
     ]
@@ -283,9 +274,10 @@ def action_successors(
 
     Prefixes fire; external choice keeps both sides' moves and discards
     the loser; parallel interleaves actions outside the sync set and
-    pairs up matching offers inside it (an unmatched offer blocks);
-    ``P;Q`` moves by P. Order: prefix/choice moves left to right, and
-    for parallel first left interleavings, then right, then joint moves.
-    The empty result is a deadlock.
+    pairs up matching offers inside it (an unmatched offer blocks) at
+    the smaller of the two rates, so a passive (`INF`) side adopts its
+    partner's rate; ``P;Q`` moves by P. Order: prefix/choice moves left
+    to right, and for parallel first left interleavings, then right,
+    then joint moves. The empty result is a deadlock.
     """
     return _act(canonicalize(p, env))

@@ -9,6 +9,8 @@ successor lists, in the same order.
 
 from __future__ import annotations
 
+from builtins import min as sync_rate
+
 from rosa_lts.canonical import _unfold
 from rosa_lts.process import (
     DefinitionEnv,
@@ -26,7 +28,6 @@ from rosa_lts.semantics import (
     NdBranch,
     NodeKind,
     Prob,
-    sync_rate,
 )
 
 

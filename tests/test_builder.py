@@ -202,3 +202,21 @@ def test_rebuilds_are_identical():
     two = build_lts(env)
     assert one.nodes == two.nodes
     assert one.edges == two.edges
+
+
+def test_truncated_builds_are_prefixes_of_the_full_build():
+    rng = random.Random(47)
+    for _ in range(200):
+        env = for_process(gen_process(rng, depth=4, dyadic=False))
+        full = build_lts(env)
+        assert not full.truncated
+        full_keys = [n.key for n in full.nodes]
+        full_edges = set(full.edges)
+        for k in (1, 2, 5, 17):
+            cut = build_lts(env, BuildConfig(max_states=k))
+            assert [n.key for n in cut.nodes] == full_keys[:k]
+            # A truncated probabilistic fan-out may sum only part of the
+            # mass of a merged edge, so only the other labels must match.
+            for e in cut.edges:
+                assert isinstance(e.label, Prob) or e in full_edges
+            assert cut.truncated == (len(full.nodes) > k)

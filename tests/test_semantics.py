@@ -30,7 +30,6 @@ from rosa_lts import (
     prob_successors,
 )
 from rosa_lts.canonical import _unfold
-from rosa_lts.semantics import sync_rate
 import reference_semantics as ref
 from gen import VAR_ENV, gen_process
 
@@ -232,16 +231,31 @@ def test_par_action_names_are_complete():
 
 
 def test_sync_rate_laws():
+    # The joint rate of <a,x>.0 ||{a} <a,y>.0, and of three-way syncs.
+    def pre(x):
+        return Prefix("a", x, NIL)
+
+    def sync(left, right):
+        return Par(frozenset({"a"}), left, right)
+
+    def rate(p):
+        [(label, _)] = action_successors(p, EMPTY)
+        return label.rate
+
+    def joint(x, y):
+        return rate(sync(pre(x), pre(y)))
+
     rates = [0.2, 0.5, 1.0, INF]
     for x in rates:
-        assert sync_rate(x, INF) == x
-        assert sync_rate(INF, x) == x
+        assert joint(x, INF) == joint(INF, x) == x
         for y in rates:
-            assert sync_rate(x, y) == sync_rate(y, x)
+            assert joint(x, y) == joint(y, x) == min(x, y)
             for z in rates:
-                assert sync_rate(sync_rate(x, y), z) == sync_rate(x, sync_rate(y, z))
-    assert sync_rate(0.2, 0.5) == 0.2
-    assert sync_rate(INF, INF) == INF
+                left = rate(sync(sync(pre(x), pre(y)), pre(z)))
+                right = rate(sync(pre(x), sync(pre(y), pre(z))))
+                assert left == right == min(x, y, z)
+    assert joint(0.2, 0.5) == 0.2
+    assert joint(INF, INF) == INF
 
 
 def test_classification_order():

@@ -86,6 +86,10 @@ def test_the_rules_answer_for_the_canonical_form(case):
 
 @PROPERTY
 @given(st.builds(ProbChoice, OPEN_PROBS, TERMS, TERMS))
+# Under || and + the weights of two choices multiply; 1e-200 squared
+# underflows to 0, and that branch must be dropped, not rejected.
+@example(parse_process_text("(a.0*{1e-200}b.0)||{}(c.0*{1e-200}d.0)"))
+@example(parse_process_text("(a.0*{1e-200}b.0)+(c.0*{1e-200}d.0)"))
 def test_prob_fan_outs_sum_to_one(p):
     assume(classify(p, VAR_ENV) == NodeKind.PROB_UNSTABLE)
     total = sum(label.p for label, _ in prob_successors(p, VAR_ENV))
