@@ -15,7 +15,7 @@ probabilistic fan-out included; no other node is expanded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .canonical import canonicalize
 from .process import DefinitionEnv, Process, pretty_print
@@ -39,7 +39,7 @@ class BuildConfig:
             raise ValueError("max_states must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LtsNode:
     id: int
     process: Process
@@ -47,7 +47,7 @@ class LtsNode:
     kind: NodeKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LtsEdge:
     source: int
     target: int
@@ -65,6 +65,18 @@ class Lts:
 def build_lts(env: DefinitionEnv, config: BuildConfig | None = None) -> Lts:
     """Explore the reachable state space of env's root process."""
     max_states = (config or BuildConfig()).max_states
+    # The build's table of shared nodes lives on a private copy of env
+    # and is dropped on the way out, so nothing the build constructed
+    # outlives it except through the result.
+    env = replace(env)
+    object.__setattr__(env, "_terms", {})
+    try:
+        return _explore(env, max_states)
+    finally:
+        object.__setattr__(env, "_terms", None)
+
+
+def _explore(env: DefinitionEnv, max_states: int) -> Lts:
     lts = Lts()
     nodes = lts.nodes
     id_by_key: dict[str, int] = {}

@@ -39,6 +39,11 @@ Such a term has no unguarded variable left, so it is a fixed point for
 any environment, and a later call returns it at once. Successor states
 share most subtrees with their already-canonical source, so they are
 rewritten only along the path that changed.
+
+Every node a rewrite builds comes from the build's table of shared
+nodes (`process.shared`). A reordered spine that a previous state
+already produced comes back as that same object, marked canonical and
+with its key printed, so the rewrite stops there.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ from .process import (
     Seq,
     Var,
     pretty_print,
+    shared,
+    shared_prefix,
 )
 
 
@@ -87,7 +94,7 @@ def canonicalize(p: Process, env: DefinitionEnv) -> Process:
             return p
     except AttributeError:
         raise TypeError(f"not a Process: {p!r}") from None
-    return _canon(p, env, (), guarded=False)
+    return _canon(p, env, env._shared_terms(), (), guarded=False)
 
 
 def canonical_key(p: Process, env: DefinitionEnv) -> str:
@@ -96,7 +103,7 @@ def canonical_key(p: Process, env: DefinitionEnv) -> str:
 
 
 def _canon(
-    p: Process, env: DefinitionEnv, open_: tuple[str, ...], guarded: bool
+    p: Process, env: DefinitionEnv, terms: dict, open_: tuple[str, ...], guarded: bool
 ) -> Process:
     # Marked below: a fixed point under either flag (module docstring).
     if p._canonical:
@@ -106,66 +113,72 @@ def _canon(
         if guarded:
             return p
         body, open_ = _unfold(p, env, open_)
-        q = _canon(body, env, open_, guarded=False)
+        q = _canon(body, env, terms, open_, guarded=False)
     elif kind is Nil:
         q = p
     elif kind is Prefix:
         # Guarded positions unfold nothing, so they start no path.
-        cont = _canon(p.continuation, env, (), guarded=True)
-        q = p if cont is p.continuation else Prefix(p.action, p.rate, cont)
+        cont = _canon(p.continuation, env, terms, (), guarded=True)
+        if cont is p.continuation:
+            q = p
+        else:
+            q = shared_prefix(terms, p.action, p.rate, cont)
     elif kind is Seq:
-        left = _canon(p.left, env, open_, guarded)
+        left = _canon(p.left, env, terms, open_, guarded)
         if type(left) is Nil:
             # S1 exposes the right operand at this position.
-            q = _canon(p.right, env, open_, guarded)
+            q = _canon(p.right, env, terms, open_, guarded)
         else:
-            right = _canon(p.right, env, (), guarded=True)
+            right = _canon(p.right, env, terms, (), guarded=True)
             if left is p.left and right is p.right:
                 q = p
             else:
-                q = Seq(left, right)
+                q = shared(terms, Seq, None, left, right)
     elif kind is IntChoice or kind is ExtChoice:
-        left = _canon(p.left, env, open_, guarded)
-        right = _canon(p.right, env, open_, guarded)
+        left = _canon(p.left, env, terms, open_, guarded)
+        right = _canon(p.right, env, terms, open_, guarded)
         left_key, right_key = pretty_print(left), pretty_print(right)
         if left_key == right_key:
             q = left
         elif right_key < left_key:
-            q = kind(right, left)
+            q = shared(terms, kind, None, right, left)
         elif left is p.left and right is p.right:
             q = p
         else:
-            q = kind(left, right)
+            q = shared(terms, kind, None, left, right)
     elif kind is ProbChoice:
         if p.prob == 1.0:
-            q = _canon(p.left, env, open_, guarded)
+            q = _canon(p.left, env, terms, open_, guarded)
         elif p.prob == 0.0:
-            q = _canon(p.right, env, open_, guarded)
+            q = _canon(p.right, env, terms, open_, guarded)
         else:
-            left = _canon(p.left, env, open_, guarded)
-            right = _canon(p.right, env, open_, guarded)
+            left = _canon(p.left, env, terms, open_, guarded)
+            right = _canon(p.right, env, terms, open_, guarded)
             left_key, right_key = pretty_print(left), pretty_print(right)
             if left_key == right_key and p.prob != 0.5:
                 # Equal operands leave no order to pick r or 1-r by.
-                q = ProbChoice(0.5, left, left)
+                q = shared(terms, ProbChoice, 0.5, left, left)
             elif right_key < left_key:
                 prob = 1.0 - p.prob
-                q = right if prob == 1.0 else ProbChoice(prob, right, left)
+                if prob == 1.0:
+                    q = right
+                else:
+                    q = shared(terms, ProbChoice, prob, right, left)
             elif left is p.left and right is p.right:
                 q = p
             else:
-                q = ProbChoice(p.prob, left, right)
+                q = shared(terms, ProbChoice, p.prob, left, right)
     elif kind is Par:
-        left = _canon(p.left, env, open_, guarded)
-        right = _canon(p.right, env, open_, guarded)
+        left = _canon(p.left, env, terms, open_, guarded)
+        right = _canon(p.right, env, terms, open_, guarded)
         if type(left) is Nil and type(right) is Nil:
             q = NIL
         elif pretty_print(right) < pretty_print(left):
-            q = Par(p.sync, right, left)
+            q = shared(terms, Par, p.sync, right, left)
         elif left is p.left and right is p.right:
             q = p
         else:
-            q = Par(p.sync, left, right)
+            q = shared(terms, Par, p.sync, left, right)
     else:
         raise TypeError(f"not a Process: {p!r}")
     if not guarded:

@@ -12,6 +12,16 @@ Nodes are frozen and slotted, so callers cannot attach attributes to
 them. Each node's printed form is computed once, from its children's
 printed forms, and cached on the node; printing a tree again, or a new
 tree built around already printed subtrees, renders only the new nodes.
+
+Nodes that a build constructs are shared: `build_lts` holds a table of
+them on its copy of the environment, and the rewrites and rules take
+each new node from it through `shared` or `shared_prefix`. The table is
+keyed by constructor, by the scalar fields and by the ``id`` of each
+child, so a node built again from the same children comes back as the
+same object, with its printed form and canonical mark already cached,
+and a constructor checks its fields once per distinct node. Equality
+stays structural: nodes parsed from the source never enter the table,
+and equal subterms parsed separately remain distinct objects.
 """
 
 from __future__ import annotations
@@ -47,6 +57,12 @@ def _check_name(name: str, what: str) -> None:
         raise ValueError(f"invalid {what}: {name!r}")
 
 
+def _check_operands(*children: object) -> None:
+    for child in children:
+        if not isinstance(child, _Term):
+            raise ValueError(f"operand must be a process: {child!r}")
+
+
 def _number(value: object, what: str) -> float:
     """``value`` as a float. A bool, a non-number and an int too large
     for a float are rejected; such an int is finite, so it must not
@@ -57,6 +73,22 @@ def _number(value: object, what: str) -> float:
         except OverflowError:
             pass
     raise ValueError(f"{what} must be a number: {value!r}")
+
+
+def _sync_set(value: object) -> frozenset[str]:
+    """``value`` as a frozenset of checked action names. A string is
+    rejected: it is an iterable of one-letter names, and "ab" is a typo
+    for {"ab"} at least as often as for {"a", "b"}."""
+    if not isinstance(value, str):
+        try:
+            names = value if type(value) is frozenset else frozenset(value)
+        except TypeError:
+            pass
+        else:
+            for name in names:
+                _check_name(name, "synchronization action name")
+            return names
+    raise ValueError(f"sync set must be a set of names: {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,6 +140,7 @@ class Prefix(_Term):
 
     def __post_init__(self) -> None:
         _check_name(self.action, "action name")
+        _check_operands(self.continuation)
         value = _number(self.rate, "rate")
         if not value > 0.0:
             raise ValueError(f"rate must be positive: {value!r}")
@@ -121,6 +154,9 @@ class Seq(_Term):
     left: Process
     right: Process
 
+    def __post_init__(self) -> None:
+        _check_operands(self.left, self.right)
+
 
 @dataclass(frozen=True, slots=True)
 class IntChoice(_Term):
@@ -129,6 +165,9 @@ class IntChoice(_Term):
     left: Process
     right: Process
 
+    def __post_init__(self) -> None:
+        _check_operands(self.left, self.right)
+
 
 @dataclass(frozen=True, slots=True)
 class ExtChoice(_Term):
@@ -136,6 +175,9 @@ class ExtChoice(_Term):
 
     left: Process
     right: Process
+
+    def __post_init__(self) -> None:
+        _check_operands(self.left, self.right)
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,6 +189,7 @@ class ProbChoice(_Term):
     right: Process
 
     def __post_init__(self) -> None:
+        _check_operands(self.left, self.right)
         value = _number(self.prob, "probability")
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"probability outside [0,1]: {value!r}")
@@ -163,14 +206,8 @@ class Par(_Term):
     right: Process
 
     def __post_init__(self) -> None:
-        if isinstance(self.sync, str):
-            # A string is an iterable of one-letter names; "ab" is a typo
-            # for {"ab"} at least as often as for {"a", "b"}.
-            raise ValueError(f"sync set must be a set of names: {self.sync!r}")
-        names = frozenset(self.sync)
-        for name in names:
-            _check_name(name, "synchronization action name")
-        object.__setattr__(self, "sync", names)
+        _check_operands(self.left, self.right)
+        object.__setattr__(self, "sync", _sync_set(self.sync))
 
 
 Process: TypeAlias = Union[Nil, Var, Prefix, Seq, IntChoice, ExtChoice, ProbChoice, Par]
@@ -190,6 +227,9 @@ class DefinitionEnv:
 
     bindings: dict[str, Process] = field(default_factory=dict)
     root: str = MAIN_NAME
+    #: The table of shared nodes (see `shared`) on the copy that
+    #: `build_lts` works on; None on every other environment.
+    _terms: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def lookup(self, name: str) -> Process:
         """The body bound to ``name``, verbatim (no substitution)."""
@@ -200,6 +240,42 @@ class DefinitionEnv:
 
     def root_process(self) -> Process:
         return self.lookup(self.root)
+
+    def _shared_terms(self) -> dict:
+        """The build's table of shared nodes, or a new one that lasts
+        for one call outside a build."""
+        return {} if self._terms is None else self._terms
+
+
+def shared(
+    terms: dict, kind: type, scalar: object, left: Process, right: Process
+) -> Process:
+    """The binary node of ``kind`` on these operands, taken from
+    ``terms`` when it holds one, else constructed and added. ``scalar``
+    is the sync set of a `Par` and the probability of a `ProbChoice`,
+    and None for the other kinds.
+
+    The key holds each operand's ``id``. That is sound because the
+    table holds the node and the node its operands, so no id in a key
+    is reused while the entry lives.
+    """
+    key = (kind, scalar, id(left), id(right))
+    node = terms.get(key)
+    if node is None:
+        node = kind(left, right) if scalar is None else kind(scalar, left, right)
+        terms[key] = node
+    return node
+
+
+def shared_prefix(
+    terms: dict, action: str, rate: float, continuation: Process
+) -> Process:
+    """``Prefix(action, rate, continuation)`` from ``terms``, as `shared`."""
+    key = (Prefix, action, rate, id(continuation))
+    node = terms.get(key)
+    if node is None:
+        node = terms[key] = Prefix(action, rate, continuation)
+    return node
 
 
 def format_number(value: float) -> str:

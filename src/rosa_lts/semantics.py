@@ -19,6 +19,11 @@ answers for the canonical form: the same kinds, ``nd:`` paths and
 successors the builder emits. A canonical term has no unguarded
 variable, so unfolding and the unguarded-recursion check live in
 `canonical`.
+
+The rules take each node they build from the build's table of shared
+nodes (`process.shared`). A successor that another state, or another
+rule, has built already is the same object, so the builder finds it
+canonical, and its key printed, at once.
 """
 
 from __future__ import annotations
@@ -38,13 +43,14 @@ from .process import (
     ProbChoice,
     Process,
     Seq,
+    shared,
 )
 
 #: Slack for probability sums accumulated from branch products.
 PROB_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NdBranch:
     """Resolution of one internal choice; ``path`` locates it ("L", "R",
     or a dotted congruence path like "L.R")."""
@@ -56,7 +62,7 @@ class NdBranch:
             raise ValueError("empty branch path")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prob:
     """Probabilistic resolution taken with probability ``p``."""
 
@@ -69,7 +75,7 @@ class Prob:
         object.__setattr__(self, "p", float(self.p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """Timed execution of a named action."""
 
@@ -136,19 +142,20 @@ def classify(p: Process, env: DefinitionEnv) -> NodeKind:
     return NodeKind.ACTION_ENABLED if offers else NodeKind.DEADLOCK
 
 
-def _rebuild(template: Process, left: Process, right: Process) -> Process:
+def _rebuild(template: Process, left: Process, right: Process, terms: dict) -> Process:
+    """The binary node like ``template`` on new operands, from ``terms``."""
     kind = type(template)
     if kind is Par:
-        return Par(template.sync, left, right)
+        return shared(terms, kind, template.sync, left, right)
     if kind is ProbChoice:
-        return ProbChoice(template.prob, left, right)
-    return ExtChoice(left, right)
+        return shared(terms, kind, template.prob, left, right)
+    return shared(terms, kind, None, left, right)
 
 
 # non-deterministic rules ---------------------------------------------
 
 
-def _nd(p: Process) -> list[tuple[str, Process]]:
+def _nd(p: Process, terms: dict) -> list[tuple[str, Process]]:
     """``(path, successor)`` per unguarded internal choice; empty for a
     deterministically stable ``p``."""
     kind = type(p)
@@ -156,11 +163,10 @@ def _nd(p: Process) -> list[tuple[str, Process]]:
         return [("L", p.left), ("R", p.right)]
     if kind is Prefix or kind is Nil:
         return []
-    if kind is Seq:
-        return [("L." + k, Seq(s, p.right)) for k, s in _nd(p.left)]
     left, right = p.left, p.right
-    out = [("L." + k, _rebuild(p, s, right)) for k, s in _nd(left)]
-    out += [("R." + k, _rebuild(p, left, s)) for k, s in _nd(right)]
+    out = [("L." + k, _rebuild(p, s, right, terms)) for k, s in _nd(left, terms)]
+    if kind is not Seq:
+        out += [("R." + k, _rebuild(p, left, s, terms)) for k, s in _nd(right, terms)]
     return out
 
 
@@ -177,7 +183,7 @@ def nd_successors(
     deterministically stable ``p``.
     """
     p = canonicalize(p, env)
-    out = _nd(p)
+    out = _nd(p, env._shared_terms())
     if not out:
         raise ValueError("nd_successors requires a deterministically "
                          f"unstable process, got {p}")
@@ -187,7 +193,7 @@ def nd_successors(
 # probabilistic rules -------------------------------------------------
 
 
-def _presolve(p: Process) -> list[tuple[float, Process]] | None:
+def _presolve(p: Process, terms: dict) -> list[tuple[float, Process]] | None:
     """``(weight, successor)`` per resolution of the unguarded prob
     choices; None if there is none, and the caller keeps ``p`` as is."""
     kind = type(p)
@@ -196,22 +202,24 @@ def _presolve(p: Process) -> list[tuple[float, Process]] | None:
     if kind is ProbChoice:
         out: list[tuple[float, Process]] = []
         for w, branch in ((p.prob, p.left), (1.0 - p.prob, p.right)):
-            sub = _presolve(branch)
+            sub = _presolve(branch, terms)
             out.extend([(w, branch)] if sub is None else
                        [(w * ws, s) for ws, s in sub])
         return out
     if kind is Seq:
-        left = _presolve(p.left)
-        return None if left is None else [(w, Seq(s, p.right)) for w, s in left]
+        left = _presolve(p.left, terms)
+        if left is None:
+            return None
+        return [(w, _rebuild(p, s, p.right, terms)) for w, s in left]
     if kind is IntChoice:
         raise ValueError("probabilistic stability is only defined for "
                          "deterministically stable processes")
-    left = _presolve(p.left)
-    right = _presolve(p.right)
+    left = _presolve(p.left, terms)
+    right = _presolve(p.right, terms)
     if left is None and right is None:
         return None
     return [
-        (wl * wr, _rebuild(p, sl, sr))
+        (wl * wr, _rebuild(p, sl, sr, terms))
         for wl, sl in ([(1.0, p.left)] if left is None else left)
         for wr, sr in ([(1.0, p.right)] if right is None else right)
     ]
@@ -229,7 +237,7 @@ def prob_successors(
     PROB_TOLERANCE.
     """
     p = canonicalize(p, env)
-    out = _presolve(p)
+    out = _presolve(p, env._shared_terms())
     if out is None:
         raise ValueError("prob_successors requires a probabilistically "
                          f"unstable process, got {p}")
@@ -241,25 +249,27 @@ def prob_successors(
 # action rules --------------------------------------------------------
 
 
-def _act(p: Process) -> list[tuple[Action, Process]]:
+def _act(p: Process, terms: dict) -> list[tuple[Action, Process]]:
     kind = type(p)
     if kind is Prefix:
         return [(Action(p.action, p.rate), p.continuation)]
     if kind is Nil:
         return []
     if kind is ExtChoice:
-        return _act(p.left) + _act(p.right)
+        return _act(p.left, terms) + _act(p.right, terms)
     if kind is Seq:
-        return [(lbl, Seq(s, p.right)) for lbl, s in _act(p.left)]
+        return [(lbl, _rebuild(p, s, p.right, terms)) for lbl, s in _act(p.left, terms)]
     if kind is not Par:
         raise ValueError(f"action_successors requires a stable process, got {p}")
-    pmoves = _act(p.left)
-    qmoves = _act(p.right)
+    pmoves = _act(p.left, terms)
+    qmoves = _act(p.right, terms)
     sync, left, right = p.sync, p.left, p.right
-    out = [(a, Par(sync, s, right)) for a, s in pmoves if a.name not in sync]
-    out += [(a, Par(sync, left, s)) for a, s in qmoves if a.name not in sync]
+    out = [(a, shared(terms, Par, sync, s, right))
+           for a, s in pmoves if a.name not in sync]
+    out += [(a, shared(terms, Par, sync, left, s))
+            for a, s in qmoves if a.name not in sync]
     out += [
-        (Action(pl.name, min(pl.rate, ql.rate)), Par(sync, ps_, qs))
+        (Action(pl.name, min(pl.rate, ql.rate)), shared(terms, Par, sync, ps_, qs))
         for pl, ps_ in pmoves if pl.name in sync
         for ql, qs in qmoves if ql.name == pl.name
     ]
@@ -280,4 +290,4 @@ def action_successors(
     to right, and for parallel first left interleavings, then right,
     then joint moves. The empty result is a deadlock.
     """
-    return _act(canonicalize(p, env))
+    return _act(canonicalize(p, env), env._shared_terms())

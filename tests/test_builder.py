@@ -1,8 +1,12 @@
-"""State-graph construction: dedup, classification, truncation."""
+"""State-graph construction: dedup, classification, truncation, and the
+table of shared nodes that lives for one build."""
 
+import gc
 import random
 
 import pytest
+
+import rosa_lts.builder
 
 from rosa_lts import (
     INF,
@@ -22,7 +26,9 @@ from rosa_lts import (
     build_lts,
     classify,
     parse_program,
+    pretty_print,
     stats,
+    to_text,
 )
 from bisim import raw_key_lts
 from gen import for_process, gen_process
@@ -220,3 +226,57 @@ def test_truncated_builds_are_prefixes_of_the_full_build():
             for e in cut.edges:
                 assert isinstance(e.label, Prob) or e in full_edges
             assert cut.truncated == (len(full.nodes) > k)
+
+
+# Two components in the shape of the benchmark's `interleave` model: many
+# states are reached along several paths, and every state is a node the
+# build constructs, since the root variables unfold.
+INTERLEAVE_2 = (
+    "P1 = <a1,1>.(<b1,2>.P1 - <c1,0.5>.P1) *{0.5} <d1,1>.P1\n"
+    "P2 = <a2,1>.(<b2,2>.P2 - <c2,0.5>.P2) *{0.5} <d2,1>.P2\n"
+    "main = P1 ||{} P2\n"
+)
+
+
+def test_a_state_reached_twice_is_one_object(monkeypatch):
+    seen = {}
+    canonicalize = rosa_lts.builder.canonicalize
+
+    def spy(p, env):
+        q = canonicalize(p, env)
+        seen.setdefault(pretty_print(q), []).append(q)
+        return q
+
+    monkeypatch.setattr(rosa_lts.builder, "canonicalize", spy)
+    lts = build_lts(parse_program(INTERLEAVE_2))
+    assert len(seen) == len(lts.nodes) == 33
+    # Every dedup hit hands the builder the object its state already has.
+    assert sum(len(found) for found in seen.values()) > 2 * len(seen)
+    for found in seen.values():
+        assert all(q is found[0] for q in found)
+
+
+def test_a_build_keeps_no_node_once_it_returns():
+    env = parse_program(INTERLEAVE_2)
+    one = build_lts(env)
+    assert env._terms is None
+    gc.collect()
+    # The states are referenced by their LtsNode records, by the states
+    # that contain them and by this frame, but by no table.
+    holders = gc.get_referrers(*[n.process for n in one.nodes])
+    assert not [h for h in holders if isinstance(h, dict)]
+    # So the next build constructs its own nodes.
+    two = build_lts(env)
+    assert [n.key for n in one.nodes] == [n.key for n in two.nodes]
+    assert all(a.process is not b.process for a, b in zip(one.nodes, two.nodes))
+
+
+def test_builds_in_one_process_print_the_same():
+    def texts():
+        rng = random.Random(59)
+        terms = [gen_process(rng, depth=4, dyadic=False) for _ in range(150)]
+        return [to_text(build_lts(for_process(p))) for p in terms]
+
+    first = texts()
+    gc.collect()
+    assert texts() == first

@@ -61,6 +61,15 @@ def test_infinite_is_a_singleton_value():
         lambda: ProbChoice(10**400, NIL, NIL),
         # a string is not a set of names
         lambda: Par("ab", NIL, NIL),
+        lambda: Par(5, NIL, NIL),
+        lambda: Par(None, NIL, NIL),
+        # every operand is a process
+        lambda: Prefix("a", 1.0, "x"),
+        lambda: Seq(NIL, 3),
+        lambda: IntChoice(None, NIL),
+        lambda: ExtChoice("a.0", NIL),
+        lambda: ProbChoice(0.5, NIL, None),
+        lambda: Par(frozenset(), NIL, Var),
     ],
 )
 def test_invalid_constructions_are_rejected(build):
