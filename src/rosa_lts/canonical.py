@@ -22,6 +22,12 @@ which keeps keys finite for recursive definitions. This is the only
 place that unfolds: the transition rules read canonical terms, which
 have no unguarded variable left.
 
+The walk carries one argument for both facts, ``open_``. At a guarded
+position (under a prefix, the right of ';') it is None, and a variable
+there is returned as it is. At an unguarded position it is the path of
+names unfolded since the last guard, and only there is a result marked
+canonical (below).
+
 Recursion through process variables must pass an action guard. Each
 path carries the names it has unfolded since the last guard (each
 operand gets its own path), and a name that comes back means the
@@ -41,9 +47,10 @@ share most subtrees with their already-canonical source, so they are
 rewritten only along the path that changed.
 
 Every node a rewrite builds comes from the build's table of shared
-nodes (`process.shared`). A reordered spine that a previous state
-already produced comes back as that same object, marked canonical and
-with its key printed, so the rewrite stops there.
+nodes (`process.rebuild`, and `process.shared` for a new weight). A
+reordered spine that a previous state already produced comes back as
+that same object, marked canonical and with its key printed, so the
+rewrite stops there.
 """
 
 from __future__ import annotations
@@ -52,8 +59,6 @@ from .errors import UnguardedRecursion
 from .process import (
     NIL,
     DefinitionEnv,
-    ExtChoice,
-    IntChoice,
     Nil,
     Par,
     Prefix,
@@ -62,8 +67,8 @@ from .process import (
     Seq,
     Var,
     pretty_print,
+    rebuild,
     shared,
-    shared_prefix,
 )
 
 
@@ -94,7 +99,7 @@ def canonicalize(p: Process, env: DefinitionEnv) -> Process:
             return p
     except AttributeError:
         raise TypeError(f"not a Process: {p!r}") from None
-    return _canon(p, env, env._shared_terms(), (), guarded=False)
+    return _canon(p, env, env._shared_terms(), ())
 
 
 def canonical_key(p: Process, env: DefinitionEnv) -> str:
@@ -103,84 +108,61 @@ def canonical_key(p: Process, env: DefinitionEnv) -> str:
 
 
 def _canon(
-    p: Process, env: DefinitionEnv, terms: dict, open_: tuple[str, ...], guarded: bool
+    p: Process, env: DefinitionEnv, terms: dict, open_: tuple[str, ...] | None
 ) -> Process:
-    # Marked below: a fixed point under either flag (module docstring).
+    # Marked below: a fixed point in any position (module docstring).
     if p._canonical:
         return p
     kind = type(p)
     if kind is Var:
-        if guarded:
+        if open_ is None:
             return p
         body, open_ = _unfold(p, env, open_)
-        q = _canon(body, env, terms, open_, guarded=False)
+        q = _canon(body, env, terms, open_)
     elif kind is Nil:
         q = p
     elif kind is Prefix:
-        # Guarded positions unfold nothing, so they start no path.
-        cont = _canon(p.continuation, env, terms, (), guarded=True)
-        if cont is p.continuation:
-            q = p
-        else:
-            q = shared_prefix(terms, p.action, p.rate, cont)
+        cont = _canon(p.continuation, env, terms, None)
+        q = p if cont is p.continuation else rebuild(terms, p, cont)
     elif kind is Seq:
-        left = _canon(p.left, env, terms, open_, guarded)
+        left = _canon(p.left, env, terms, open_)
         if type(left) is Nil:
             # S1 exposes the right operand at this position.
-            q = _canon(p.right, env, terms, open_, guarded)
+            q = _canon(p.right, env, terms, open_)
         else:
-            right = _canon(p.right, env, terms, (), guarded=True)
+            right = _canon(p.right, env, terms, None)
             if left is p.left and right is p.right:
                 q = p
             else:
-                q = shared(terms, Seq, None, left, right)
-    elif kind is IntChoice or kind is ExtChoice:
-        left = _canon(p.left, env, terms, open_, guarded)
-        right = _canon(p.right, env, terms, open_, guarded)
-        left_key, right_key = pretty_print(left), pretty_print(right)
-        if left_key == right_key:
-            q = left
-        elif right_key < left_key:
-            q = shared(terms, kind, None, right, left)
-        elif left is p.left and right is p.right:
-            q = p
-        else:
-            q = shared(terms, kind, None, left, right)
-    elif kind is ProbChoice:
-        if p.prob == 1.0:
-            q = _canon(p.left, env, terms, open_, guarded)
-        elif p.prob == 0.0:
-            q = _canon(p.right, env, terms, open_, guarded)
-        else:
-            left = _canon(p.left, env, terms, open_, guarded)
-            right = _canon(p.right, env, terms, open_, guarded)
-            left_key, right_key = pretty_print(left), pretty_print(right)
-            if left_key == right_key and p.prob != 0.5:
-                # Equal operands leave no order to pick r or 1-r by.
-                q = shared(terms, ProbChoice, 0.5, left, left)
-            elif right_key < left_key:
-                prob = 1.0 - p.prob
-                if prob == 1.0:
-                    q = right
-                else:
-                    q = shared(terms, ProbChoice, prob, right, left)
-            elif left is p.left and right is p.right:
-                q = p
-            else:
-                q = shared(terms, ProbChoice, p.prob, left, right)
-    elif kind is Par:
-        left = _canon(p.left, env, terms, open_, guarded)
-        right = _canon(p.right, env, terms, open_, guarded)
-        if type(left) is Nil and type(right) is Nil:
-            q = NIL
-        elif pretty_print(right) < pretty_print(left):
-            q = shared(terms, Par, p.sync, right, left)
-        elif left is p.left and right is p.right:
-            q = p
-        else:
-            q = shared(terms, Par, p.sync, left, right)
+                q = rebuild(terms, p, left, right)
+    elif kind is ProbChoice and (p.prob == 1.0 or p.prob == 0.0):
+        # S5, before the dead operand is visited.
+        q = _canon(p.left if p.prob == 1.0 else p.right, env, terms, open_)
     else:
-        raise TypeError(f"not a Process: {p!r}")
-    if not guarded:
+        # S2-S4 on -, +, *{r} and ||{A}.
+        left = _canon(p.left, env, terms, open_)
+        right = _canon(p.right, env, terms, open_)
+        if kind is Par and type(left) is Nil and type(right) is Nil:
+            q = NIL
+        else:
+            left_key, right_key = pretty_print(left), pretty_print(right)
+            if right_key < left_key:
+                if kind is not ProbChoice:
+                    q = rebuild(terms, p, right, left)
+                else:
+                    prob = 1.0 - p.prob
+                    # A tiny r, whose 1-r rounds to 1, takes S5.
+                    q = right if prob == 1.0 else shared(terms, prob, right, left)
+            elif left_key != right_key or kind is Par:
+                if left is p.left and right is p.right:
+                    q = p
+                else:
+                    q = rebuild(terms, p, left, right)
+            elif kind is ProbChoice:
+                # Equal operands leave no order to pick r or 1-r by.
+                q = shared(terms, 0.5, left, left)
+            else:
+                q = left
+    if open_ is not None:
         object.__setattr__(q, "_canonical", True)
     return q

@@ -22,7 +22,7 @@ from .errors import (
     UnguardedRecursion,
     ValidationError,
 )
-from .export import ExportOptions, to_dot, to_json, to_text
+from .export import NODE_LABELS, ExportOptions, to_dot, to_json, to_text
 from .parser import parse_program
 from .process import DefinitionEnv
 
@@ -84,7 +84,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--labels",
-        choices=("id", "expr", "both"),
+        choices=NODE_LABELS,
         default="both",
         help="node labelling in text/DOT output (default: both)",
     )
@@ -118,13 +118,13 @@ def run(args: argparse.Namespace) -> int:
         print(_INPUT_TOO_DEEP, file=sys.stderr)
         return 2
 
-    if args.check:
-        return 0
-
     if args.root is not None:
         env = DefinitionEnv(bindings=env.bindings, root=args.root)
 
     try:
+        if args.check:
+            env.root_process()
+            return 0
         lts = build_lts(env, BuildConfig(max_states=args.max_states))
     except (UnboundVariable, UnguardedRecursion) as exc:
         print(f"error: {exc}", file=sys.stderr)

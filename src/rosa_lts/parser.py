@@ -33,26 +33,11 @@ from .process import (
 
 IDENT = "IDENT"
 NUMBER = "NUMBER"
-INF_TOK = "INF"
-ZERO = "ZERO"
-DOT = "DOT"
-SEMI = "SEMI"
-MINUS = "MINUS"
-PLUS = "PLUS"
-STAR = "STAR"
-LANGLE = "LANGLE"
-RANGLE = "RANGLE"
-COMMA = "COMMA"
-LBRACE = "LBRACE"
-RBRACE = "RBRACE"
-LPAREN = "LPAREN"
-RPAREN = "RPAREN"
-PARBAR = "PARBAR"
-EQUALS = "EQUALS"
+#: Kind of the sentinel past the last token.
 EOF = "EOF"
 
 
-# NUMBER and IDENT are token kinds; `skip` and `newline` yield no token.
+# `skip` and `newline` yield no token; `_scan` gives the others' kinds.
 # Digits and letters are ASCII only: other Unicode digits and letters
 # begin no token.
 _TOKEN_RE = re.compile(
@@ -63,28 +48,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>\|\||[.;\-+*<>,{}()=])"
 )
 
-# Lexemes whose kind is not their group's name: the operators, the ZERO
-# number and the infinite-rate keyword.
-_FIXED_KIND = {
-    "||": PARBAR,
-    ".": DOT,
-    ";": SEMI,
-    "-": MINUS,
-    "+": PLUS,
-    "*": STAR,
-    "<": LANGLE,
-    ">": RANGLE,
-    ",": COMMA,
-    "{": LBRACE,
-    "}": RBRACE,
-    "(": LPAREN,
-    ")": RPAREN,
-    "=": EQUALS,
-    "0": ZERO,
-    INF_KEYWORD: INF_TOK,
-}
-
-
 # Tokens as four parallel lists: their kinds, lexemes, lines and columns.
 _Scan = tuple[list[str], list[str], list[int], list[int]]
 
@@ -93,10 +56,11 @@ def _scan(source: str, first_line: int) -> _Scan:
     """Split ``source`` into tokens.
 
     Whitespace separates tokens and is otherwise ignored; ``#`` starts a
-    comment running to end of line. ``||`` is one token, ``inf`` is the
-    infinite-rate keyword, and a standalone ``0`` is ZERO (``0.5`` stays
-    a NUMBER). Positions are 1-based; ``first_line`` numbers the first
-    line, so a line scanned on its own keeps its place in the file.
+    comment running to end of line. A token's kind is IDENT or NUMBER,
+    or its lexeme for an operator (``||`` is one token), for the
+    infinite-rate keyword ``inf`` and for a standalone ``0`` (``0.5``
+    stays a NUMBER). Positions are 1-based; ``first_line`` numbers the
+    first line, so a line scanned on its own keeps its place in the file.
     """
     kinds, lexemes, lines, columns = scan = ([], [], [], [])
     match = _TOKEN_RE.match
@@ -114,7 +78,9 @@ def _scan(source: str, first_line: int) -> _Scan:
             line_start = end
         elif group != "skip":
             text = m.group()
-            kinds.append(_FIXED_KIND.get(text, group))
+            if group == "op" or text == "0" or text == INF_KEYWORD:
+                group = text
+            kinds.append(group)
             lexemes.append(text)
             lines.append(line)
             columns.append(pos - line_start + 1)
@@ -185,7 +151,7 @@ class _Parser:
 
     def parse_seq(self) -> Process:
         operands = [self.parse_par()]
-        while self.kinds[self.pos] == SEMI:
+        while self.kinds[self.pos] == ";":
             self.pos += 1
             operands.append(self.parse_par())
         p = operands.pop()
@@ -196,16 +162,16 @@ class _Parser:
     def parse_par(self) -> Process:
         left = self.parse_choice()
         kinds = self.kinds
-        while kinds[self.pos] == PARBAR:
+        while kinds[self.pos] == "||":
             self.pos += 1
-            self.expect(LBRACE, "'{' after '||'")
+            self.expect("{", "'{' after '||'")
             names: list[str] = []
             if kinds[self.pos] == IDENT:
                 names.append(self.expect(IDENT, "an action name"))
-                while kinds[self.pos] == COMMA:
+                while kinds[self.pos] == ",":
                     self.pos += 1
                     names.append(self.expect(IDENT, "an action name"))
-            self.expect(RBRACE, "'}' closing the synchronization set")
+            self.expect("}", "'}' closing the synchronization set")
             left = Par(frozenset(names), left, self.parse_choice())
         return left
 
@@ -214,17 +180,17 @@ class _Parser:
         kinds = self.kinds
         while True:
             kind = kinds[self.pos]
-            if kind == MINUS:
+            if kind == "-":
                 self.pos += 1
                 left = IntChoice(left, self.parse_prefix())
-            elif kind == PLUS:
+            elif kind == "+":
                 self.pos += 1
                 left = ExtChoice(left, self.parse_prefix())
-            elif kind == STAR:
+            elif kind == "*":
                 self.pos += 1
-                self.expect(LBRACE, "'{' after '*'")
+                self.expect("{", "'{' after '*'")
                 prob = self.parse_probability()
-                self.expect(RBRACE, "'}' after the probability")
+                self.expect("}", "'}' after the probability")
                 left = ProbChoice(prob, left, self.parse_prefix())
             else:
                 return left
@@ -238,7 +204,7 @@ class _Parser:
             kind = kinds[pos]
             if kind == IDENT:
                 name = lexemes[pos]
-                if kinds[pos + 1] == DOT:
+                if kinds[pos + 1] == ".":
                     heads.append((name, INF))
                     self.pos = pos + 2
                     continue
@@ -247,24 +213,24 @@ class _Parser:
                 self.pos = pos + 1
                 self.var_names.add(name)
                 p: Process = Var(name)
-            elif kind == LANGLE:
+            elif kind == "<":
                 self.pos = pos + 1
                 action = self.expect(IDENT, "an action name")
-                self.expect(COMMA, "',' between action and rate")
+                self.expect(",", "',' between action and rate")
                 rate = self.parse_rate()
-                self.expect(RANGLE, "'>' closing the rated action")
+                self.expect(">", "'>' closing the rated action")
                 heads.append((action, rate))
-                if kinds[self.pos] == DOT:
+                if kinds[self.pos] == ".":
                     self.pos += 1
                     continue
                 p = NIL
-            elif kind == ZERO:
+            elif kind == "0":
                 self.pos = pos + 1
                 p = NIL
-            elif kind == LPAREN:
+            elif kind == "(":
                 self.pos = pos + 1
                 p = self.parse_seq()
-                self.expect(RPAREN, "')'")
+                self.expect(")", "')'")
             else:
                 raise self.fail("a process")
             for action, rate in reversed(heads):
@@ -274,7 +240,7 @@ class _Parser:
     # literals ---------------------------------------------------------
 
     def parse_rate(self) -> float:
-        if self.kinds[self.pos] == INF_TOK:
+        if self.kinds[self.pos] == INF_KEYWORD:
             self.pos += 1
             return INF
         value = self.parse_number("a rate (positive number or 'inf')")
@@ -294,7 +260,7 @@ class _Parser:
 
     def parse_number(self, expected: str) -> float:
         pos = self.pos
-        if self.kinds[pos] not in (NUMBER, ZERO):
+        if self.kinds[pos] not in (NUMBER, "0"):
             raise self.fail(expected)
         self.pos = pos + 1
         return float(self.lexemes[pos])
@@ -326,7 +292,7 @@ def parse_program(source: str) -> DefinitionEnv:
         if not kinds:
             continue
         name, start = MAIN_NAME, 0
-        if len(kinds) >= 2 and kinds[0] == IDENT and kinds[1] == EQUALS:
+        if len(kinds) >= 2 and kinds[0] == IDENT and kinds[1] == "=":
             name, start = lexemes[0], 2
         if name in bindings:
             raise DuplicateDefinition(name, lineno, columns[0])

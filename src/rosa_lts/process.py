@@ -15,7 +15,9 @@ tree built around already printed subtrees, renders only the new nodes.
 
 Nodes that a build constructs are shared: `build_lts` holds a table of
 them on its copy of the environment, and the rewrites and rules take
-each new node from it through `shared` or `shared_prefix`. The table is
+each new node from it through `rebuild`, which puts a node's kind and
+scalar fields on new children (and through `shared` for the two
+reweighted probabilistic choices of canonicalization). The table is
 keyed by constructor, by the scalar fields and by the ``id`` of each
 child, so a node built again from the same children comes back as the
 same object, with its printed form and canonical mark already cached,
@@ -148,36 +150,29 @@ class Prefix(_Term):
 
 
 @dataclass(frozen=True, slots=True)
-class Seq(_Term):
+class _Binary(_Term):
+    """Shared base of the operators whose only fields are two operands."""
+
+    left: Process
+    right: Process
+
+    def __post_init__(self) -> None:
+        _check_operands(self.left, self.right)
+
+
+@dataclass(frozen=True, slots=True)
+class Seq(_Binary):
     """``P;Q``: behave as P until it terminates, then as Q."""
 
-    left: Process
-    right: Process
-
-    def __post_init__(self) -> None:
-        _check_operands(self.left, self.right)
-
 
 @dataclass(frozen=True, slots=True)
-class IntChoice(_Term):
+class IntChoice(_Binary):
     """``P - Q``: internal choice, resolved by the system before timing."""
 
-    left: Process
-    right: Process
-
-    def __post_init__(self) -> None:
-        _check_operands(self.left, self.right)
-
 
 @dataclass(frozen=True, slots=True)
-class ExtChoice(_Term):
+class ExtChoice(_Binary):
     """``P + Q``: external choice, resolved by whichever action occurs."""
-
-    left: Process
-    right: Process
-
-    def __post_init__(self) -> None:
-        _check_operands(self.left, self.right)
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,7 +222,7 @@ class DefinitionEnv:
 
     bindings: dict[str, Process] = field(default_factory=dict)
     root: str = MAIN_NAME
-    #: The table of shared nodes (see `shared`) on the copy that
+    #: The table of shared nodes (see `rebuild`) on the copy that
     #: `build_lts` works on; None on every other environment.
     _terms: dict | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -247,34 +242,45 @@ class DefinitionEnv:
         return {} if self._terms is None else self._terms
 
 
-def shared(
-    terms: dict, kind: type, scalar: object, left: Process, right: Process
+def rebuild(
+    terms: dict, p: Process, left: Process, right: Process | None = None
 ) -> Process:
-    """The binary node of ``kind`` on these operands, taken from
-    ``terms`` when it holds one, else constructed and added. ``scalar``
-    is the sync set of a `Par` and the probability of a `ProbChoice`,
-    and None for the other kinds.
+    """The node of ``p``'s kind and scalar fields on new operands, taken
+    from ``terms`` when it holds one, else constructed and added. For a
+    `Prefix`, ``left`` is the continuation.
 
     The key holds each operand's ``id``. That is sound because the
     table holds the node and the node its operands, so no id in a key
     is reused while the entry lives.
     """
-    key = (kind, scalar, id(left), id(right))
+    kind = type(p)
+    if kind is Par:
+        key = (kind, p.sync, id(left), id(right))
+    elif kind is ProbChoice:
+        key = (kind, p.prob, id(left), id(right))
+    elif kind is Prefix:
+        key = (kind, p.action, p.rate, id(left))
+    else:
+        key = (kind, None, id(left), id(right))
     node = terms.get(key)
     if node is None:
-        node = kind(left, right) if scalar is None else kind(scalar, left, right)
+        if kind is Prefix:
+            node = Prefix(p.action, p.rate, left)
+        elif key[1] is None:
+            node = kind(left, right)
+        else:
+            node = kind(key[1], left, right)
         terms[key] = node
     return node
 
 
-def shared_prefix(
-    terms: dict, action: str, rate: float, continuation: Process
-) -> Process:
-    """``Prefix(action, rate, continuation)`` from ``terms``, as `shared`."""
-    key = (Prefix, action, rate, id(continuation))
+def shared(terms: dict, prob: float, left: Process, right: Process) -> Process:
+    """``ProbChoice(prob, left, right)`` from ``terms``, as `rebuild`
+    would give it, for a weight that no node to copy carries."""
+    key = (ProbChoice, prob, id(left), id(right))
     node = terms.get(key)
     if node is None:
-        node = terms[key] = Prefix(action, rate, continuation)
+        node = terms[key] = ProbChoice(prob, left, right)
     return node
 
 

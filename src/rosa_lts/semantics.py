@@ -21,7 +21,7 @@ variable, so unfolding and the unguarded-recursion check live in
 `canonical`.
 
 The rules take each node they build from the build's table of shared
-nodes (`process.shared`). A successor that another state, or another
+nodes (`process.rebuild`). A successor that another state, or another
 rule, has built already is the same object, so the builder finds it
 canonical, and its key printed, at once.
 """
@@ -43,7 +43,7 @@ from .process import (
     ProbChoice,
     Process,
     Seq,
-    shared,
+    rebuild,
 )
 
 #: Slack for probability sums accumulated from branch products.
@@ -142,16 +142,6 @@ def classify(p: Process, env: DefinitionEnv) -> NodeKind:
     return NodeKind.ACTION_ENABLED if offers else NodeKind.DEADLOCK
 
 
-def _rebuild(template: Process, left: Process, right: Process, terms: dict) -> Process:
-    """The binary node like ``template`` on new operands, from ``terms``."""
-    kind = type(template)
-    if kind is Par:
-        return shared(terms, kind, template.sync, left, right)
-    if kind is ProbChoice:
-        return shared(terms, kind, template.prob, left, right)
-    return shared(terms, kind, None, left, right)
-
-
 # non-deterministic rules ---------------------------------------------
 
 
@@ -164,9 +154,9 @@ def _nd(p: Process, terms: dict) -> list[tuple[str, Process]]:
     if kind is Prefix or kind is Nil:
         return []
     left, right = p.left, p.right
-    out = [("L." + k, _rebuild(p, s, right, terms)) for k, s in _nd(left, terms)]
+    out = [("L." + k, rebuild(terms, p, s, right)) for k, s in _nd(left, terms)]
     if kind is not Seq:
-        out += [("R." + k, _rebuild(p, left, s, terms)) for k, s in _nd(right, terms)]
+        out += [("R." + k, rebuild(terms, p, left, s)) for k, s in _nd(right, terms)]
     return out
 
 
@@ -210,7 +200,7 @@ def _presolve(p: Process, terms: dict) -> list[tuple[float, Process]] | None:
         left = _presolve(p.left, terms)
         if left is None:
             return None
-        return [(w, _rebuild(p, s, p.right, terms)) for w, s in left]
+        return [(w, rebuild(terms, p, s, p.right)) for w, s in left]
     if kind is IntChoice:
         raise ValueError("probabilistic stability is only defined for "
                          "deterministically stable processes")
@@ -219,7 +209,7 @@ def _presolve(p: Process, terms: dict) -> list[tuple[float, Process]] | None:
     if left is None and right is None:
         return None
     return [
-        (wl * wr, _rebuild(p, sl, sr, terms))
+        (wl * wr, rebuild(terms, p, sl, sr))
         for wl, sl in ([(1.0, p.left)] if left is None else left)
         for wr, sr in ([(1.0, p.right)] if right is None else right)
     ]
@@ -258,18 +248,18 @@ def _act(p: Process, terms: dict) -> list[tuple[Action, Process]]:
     if kind is ExtChoice:
         return _act(p.left, terms) + _act(p.right, terms)
     if kind is Seq:
-        return [(lbl, _rebuild(p, s, p.right, terms)) for lbl, s in _act(p.left, terms)]
+        return [(lbl, rebuild(terms, p, s, p.right)) for lbl, s in _act(p.left, terms)]
     if kind is not Par:
         raise ValueError(f"action_successors requires a stable process, got {p}")
     pmoves = _act(p.left, terms)
     qmoves = _act(p.right, terms)
     sync, left, right = p.sync, p.left, p.right
-    out = [(a, shared(terms, Par, sync, s, right))
+    out = [(a, rebuild(terms, p, s, right))
            for a, s in pmoves if a.name not in sync]
-    out += [(a, shared(terms, Par, sync, left, s))
+    out += [(a, rebuild(terms, p, left, s))
             for a, s in qmoves if a.name not in sync]
     out += [
-        (Action(pl.name, min(pl.rate, ql.rate)), shared(terms, Par, sync, ps_, qs))
+        (Action(pl.name, min(pl.rate, ql.rate)), rebuild(terms, p, ps_, qs))
         for pl, ps_ in pmoves if pl.name in sync
         for ql, qs in qmoves if ql.name == pl.name
     ]

@@ -122,6 +122,15 @@ def test_root_override_must_exist(sample_file, capsys):
     assert "GHOST" in capsys.readouterr().err
 
 
+def test_check_looks_up_the_root_override(sample_file, capsys):
+    assert main([sample_file, "--check", "--root", "GHOST"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: undefined process variable 'GHOST'\n"
+    assert main([sample_file, "--check", "--root", "main"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_truncation_warns_but_succeeds(tmp_path, capsys):
     path = tmp_path / "grow.rosa"
     path.write_text("P = a.(b.0||{}P)\n", encoding="utf-8")
