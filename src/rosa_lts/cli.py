@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .builder import BuildConfig, build_lts
+from .canonical import canonicalize
 from .errors import (
     DuplicateDefinition,
     ParseError,
@@ -91,7 +92,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="parse and validate only; print nothing on success",
+        help="parse and check the root state only; print nothing on success",
     )
     return parser
 
@@ -123,7 +124,7 @@ def run(args: argparse.Namespace) -> int:
 
     try:
         if args.check:
-            env.root_process()
+            canonicalize(env.root_process(), env)
             return 0
         lts = build_lts(env, BuildConfig(max_states=args.max_states))
     except (UnboundVariable, UnguardedRecursion) as exc:

@@ -3,14 +3,13 @@
 Binding tightness, tightest first: prefix ``.``, then the three choices
 (``-``, ``+``, ``*{r}``, one shared level, left-associative), then
 ``||{A}`` (left-associative), then ``;`` (right-associative).
-Parentheses override. A bare identifier parses as a process variable;
-`parse_program` later rewrites the ones that match no definition into
-action constants (``a`` meaning ``a.0``).
+Parentheses override. A bare identifier is a process variable when
+it names a definition of the program, else an action constant (``a``
+meaning ``a.0``); a lone expression takes every one as a variable.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 from .errors import DuplicateDefinition, LexError, ParseError, ValidationError
@@ -22,13 +21,13 @@ from .process import (
     DefinitionEnv,
     ExtChoice,
     IntChoice,
-    Nil,
     Par,
     Prefix,
     ProbChoice,
     Process,
     Seq,
     Var,
+    is_valid_name,
 )
 
 IDENT = "IDENT"
@@ -99,14 +98,15 @@ class _Parser:
     atom   := head | "0" | "(" seq ")"
 
     Every rule but the parenthesized atom is a loop. A rated head as the
-    atom is ``<a,r>.0``; an IDENT as the atom is a variable, and its name
-    goes into ``var_names``.
+    atom is ``<a,r>.0``; an IDENT as the atom is a variable if it is in
+    ``defined``, else the action constant ``a.0``.
     """
 
-    def __init__(self, scan: _Scan, start: int = 0):
+    def __init__(self, scan: _Scan, start: int = 0, defined: dict | None = None):
         """Parse the token lists of ``scan`` from index ``start`` on.
         ``kinds`` gets the EOF sentinel appended. End of input is just
-        past the last token, or at 1:1 when there is none."""
+        past the last token, or at 1:1 when there is none. With no
+        ``defined``, every bare IDENT is a variable."""
         self.kinds, self.lexemes, self.lines, self.columns = scan
         if self.kinds:
             self.end = (self.lines[-1], self.columns[-1] + len(self.lexemes[-1]))
@@ -114,7 +114,7 @@ class _Parser:
             self.end = (1, 1)
         self.kinds.append(EOF)
         self.pos = start
-        self.var_names: set[str] = set()
+        self.defined = defined
 
     def fail(self, expected: str) -> ParseError:
         pos = self.pos
@@ -208,11 +208,11 @@ class _Parser:
                     heads.append((name, INF))
                     self.pos = pos + 2
                     continue
-                # Bare name: a process variable for now; parse_program
-                # turns the undefined ones into action constants.
                 self.pos = pos + 1
-                self.var_names.add(name)
-                p: Process = Var(name)
+                if self.defined is None or name in self.defined:
+                    p: Process = Var(name)
+                else:
+                    p = Prefix(name, INF, NIL)
             elif kind == "<":
                 self.pos = pos + 1
                 action = self.expect(IDENT, "an action name")
@@ -274,71 +274,35 @@ def parse_process_text(source: str) -> Process:
 def parse_program(source: str) -> DefinitionEnv:
     """Parse a whole program into a definition environment.
 
-    Each non-empty, non-comment line is either ``NAME = PROCESS`` or a
-    bare ``PROCESS``; a bare process is bound to ``main``. The root is
-    ``main`` when that name exists, otherwise the last definition.
-    Rebinding a name is an error. After all lines are read, bare
-    identifiers that name no definition are rewritten into action
-    constants (``f`` becomes ``f.0``); the rewrite runs last so forward
-    references between definitions work.
+    Each line is blank, a comment, ``NAME = PROCESS`` or a bare
+    ``PROCESS``, which is bound to ``main``; the root is ``main`` when
+    that name exists, otherwise the last definition. Rebinding a name is
+    an error. Every line's head is read before any body is parsed, so a
+    bare identifier in a body is a variable when some line defines it,
+    even a later one, and an action constant otherwise (``f`` meaning
+    ``f.0``).
     """
-    bindings: dict[str, Process] = {}
-    bare_names: dict[str, set[str]] = {}
     # Lines end at \n only, the one line end the lexer counts (a \r
     # before it is skipped whitespace); str.splitlines would also break
     # at characters such as \x0c that the lexer rejects.
+    heads: list[tuple[int, str, str, int]] = []
     for lineno, text in enumerate(source.split("\n"), start=1):
-        kinds, lexemes, _, columns = scan = _scan(text, lineno)
-        if not kinds:
-            continue
-        name, start = MAIN_NAME, 0
-        if len(kinds) >= 2 and kinds[0] == IDENT and kinds[1] == "=":
-            name, start = lexemes[0], 2
-        if name in bindings:
-            raise DuplicateDefinition(name, lineno, columns[0])
-        parser = _Parser(scan, start)
-        bindings[name] = parser.parse_full_process()
-        bare_names[name] = parser.var_names
-    if not bindings:
+        # A head is a name between blanks, then "=", so the body starts
+        # at token 2. A line without one is skipped when it holds no
+        # token, else it is a bare process.
+        name, eq, _ = text.partition("=")
+        name = name.strip(" \t\r")
+        if eq and is_valid_name(name):
+            heads.append((lineno, text, name, 2))
+        elif text.lstrip(" \t\r")[:1] not in ("", "#"):
+            heads.append((lineno, text, MAIN_NAME, 0))
+    if not heads:
         raise ParseError(1, 1, "at least one process definition", "end of input")
-    for name, names in bare_names.items():
-        if not bindings.keys() >= names:
-            bindings[name] = _close_free_names(bindings[name], bindings)
+    bindings = dict.fromkeys(head[2] for head in heads)
+    for lineno, text, name, start in heads:
+        *_, columns = scan = _scan(text, lineno)
+        if bindings[name] is not None:
+            raise DuplicateDefinition(name, lineno, columns[0])
+        bindings[name] = _Parser(scan, start, bindings).parse_full_process()
     root = MAIN_NAME if MAIN_NAME in bindings else next(reversed(bindings))
     return DefinitionEnv(bindings=bindings, root=root)
-
-
-def _close_free_names(p: Process, defined: dict[str, Process]) -> Process:
-    """Rewrite Var leaves naming no definition into action constants.
-
-    Subtrees with no such leaf come back as the same objects. The walk
-    is post-order on an explicit stack, so any depth fits.
-    """
-    stack: list[tuple[Process, bool]] = [(p, False)]
-    done: list[Process] = []
-    while stack:
-        node, children_done = stack.pop()
-        kind = type(node)
-        if kind is Var:
-            done.append(node if node.name in defined else Prefix(node.name, INF, NIL))
-        elif kind is Nil:
-            done.append(node)
-        elif not children_done:
-            stack.append((node, True))
-            if kind is Prefix:
-                stack.append((node.continuation, False))
-            else:
-                stack.append((node.right, False))
-                stack.append((node.left, False))
-        elif kind is Prefix:
-            cont = done.pop()
-            if cont is not node.continuation:
-                node = Prefix(node.action, node.rate, cont)
-            done.append(node)
-        else:
-            right = done.pop()
-            left = done.pop()
-            if left is not node.left or right is not node.right:
-                node = dataclasses.replace(node, left=left, right=right)
-            done.append(node)
-    return done[0]

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from rosa_lts import (
     INF,
     NIL,
+    DuplicateDefinition,
     ExtChoice,
     IntChoice,
     LexError,
     Nil,
     Par,
+    ParseError,
     Prefix,
     ProbChoice,
     Seq,
@@ -21,7 +23,7 @@ from rosa_lts import (
     parse_program,
     pretty_print,
 )
-from rosa_lts.parser import _scan
+from rosa_lts.parser import IDENT, _Parser, _scan
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -146,3 +148,77 @@ def test_a_foreign_character_is_a_lex_error_at_that_character(p, data):
         assert err.char == char
     else:
         raise AssertionError(f"{char!r} lexed")
+
+
+def two_pass_parse(source):
+    """Reference `parse_program`: a line is a definition when its first
+    two tokens are a name and "=", every bare name parses as a variable,
+    and the names left undefined are closed into actions afterwards."""
+    bindings = {}
+    for lineno, text in enumerate(source.split("\n"), start=1):
+        kinds, lexemes, _, columns = scan = _scan(text, lineno)
+        if not kinds:
+            continue
+        name, start = "main", 0
+        if kinds[:2] == [IDENT, "="]:
+            name, start = lexemes[0], 2
+        if name in bindings:
+            raise DuplicateDefinition(name, lineno, columns[0])
+        bindings[name] = _Parser(scan, start).parse_full_process()
+    if not bindings:
+        raise ParseError(1, 1, "at least one process definition", "end of input")
+    root = "main" if "main" in bindings else list(bindings)[-1]
+    return [(name, close(p, bindings)) for name, p in bindings.items()], root
+
+
+def outcome(parse, source):
+    try:
+        return parse(source)
+    except (LexError, ParseError, DuplicateDefinition) as err:
+        return type(err), str(err)
+
+
+BLANKS = st.text(" \t\r", max_size=2)
+NAMES = ["P", "Q", "R", "S", "main", "a"]
+# Bodies whose bare names are defined or not; "a # = b" is the bare
+# name a and a comment.
+BODIES = st.one_of(
+    terms(st.sampled_from(NAMES + ["T"])).map(pretty_print),
+    st.sampled_from(["a # = b", "P", "T"]),
+)
+# Heads that are no name (the keyword, two names, a non-ASCII name) and
+# bodies that do not parse, drawn for one line in eight.
+ODD_HEADS = st.sampled_from(["inf", "a b", "é", ""])
+ODD_BODIES = st.sampled_from(["", "a.", "(", "a b"])
+COMMENTS = st.sampled_from(["", " # x = y", "# note", "#="])
+
+
+def _one_in_eight(draw, odd, usual):
+    return draw(odd if draw(st.integers(0, 7)) == 0 else usual)
+
+
+@st.composite
+def program_lines(draw):
+    """One line: a definition, a bare process, a blank or a comment."""
+    kind = draw(st.sampled_from(["definition", "bare", "blank", "comment"]))
+    if kind == "blank":
+        return draw(BLANKS)
+    if kind == "comment":
+        return draw(BLANKS) + draw(COMMENTS.filter(bool))
+    body = _one_in_eight(draw, ODD_BODIES, BODIES) + draw(COMMENTS)
+    if kind == "bare":
+        return draw(BLANKS) + body
+    name = _one_in_eight(draw, ODD_HEADS, st.sampled_from(NAMES))
+    return "".join([draw(BLANKS), name, draw(BLANKS), "=", draw(BLANKS), body])
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    st.lists(program_lines(), min_size=1, max_size=6), st.sampled_from(["", "\n"])
+)
+def test_line_heads_decide_the_program_as_a_token_scan_does(lines, end):
+    source = "\n".join(lines) + end
+    env = outcome(parse_program, source)
+    if not isinstance(env, tuple):
+        env = list(env.bindings.items()), env.root
+    assert env == outcome(two_pass_parse, source)

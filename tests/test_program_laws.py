@@ -1,7 +1,9 @@
 """Laws of whole-program builds, on generated programs shaped like the
 benchmark's corpus: 1 to 4 sequential definitions whose variables occur
 only as prefix continuations, and a ``main`` that runs two of them in
-parallel under a sync set, sometimes after a third with ``;``.
+parallel under a sync set, sometimes after a third with ``;``. Some
+leaves are bare action names (``a`` meaning ``a.0``), and ``main`` is
+sometimes a bare line.
 
 Unlike the closed terms of the acceptance tests, these programs unfold
 variables at the root, under ``;`` and as parallel operands, and keep
@@ -26,6 +28,7 @@ from rosa_lts import (
     IntChoice,
     Par,
     Prefix,
+    Prob,
     ProbChoice,
     Seq,
     build_lts,
@@ -65,8 +68,10 @@ _heads = st.builds(
 
 
 def _bodies(names: list[str]) -> st.SearchStrategy[str]:
+    # A head alone is an action constant: ``a`` names no definition.
     leaves = st.one_of(
         st.just("0"),
+        _heads,
         st.builds("{}.0".format, _heads),
         st.builds("{}.{}".format, _heads, st.sampled_from(names)),
     )
@@ -86,7 +91,8 @@ def _bodies(names: list[str]) -> st.SearchStrategy[str]:
 
 @st.composite
 def programs(draw) -> list[str]:
-    """The lines of one program, ``main`` last."""
+    """The lines of one program, ``main`` last, as a definition or as a
+    bare line."""
     names = [f"D{i}" for i in range(draw(st.integers(1, 4)))]
     bodies = _bodies(names)
     lines = [f"{name} = {draw(bodies)}" for name in names]
@@ -95,7 +101,7 @@ def programs(draw) -> list[str]:
     main = f"{draw(pick)} ||{{{sync}}} {draw(pick)}"
     if draw(st.booleans()):
         main = f"{draw(pick)};({main})"
-    return lines + [f"main = {main}"]
+    return lines + [main if draw(st.booleans()) else f"main = {main}"]
 
 
 def _mirror(p):
@@ -153,3 +159,18 @@ def test_definition_order_leaves_the_output_unchanged(data):
     shuffled = data.draw(st.permutations(lines))
     expected = to_text(build_lts(parse_program(_source(lines)), CONFIG))
     assert to_text(build_lts(parse_program(_source(shuffled)), CONFIG)) == expected
+
+
+@PROPERTY
+@given(programs(), st.integers(1, 20))
+def test_a_truncated_build_is_a_prefix_of_the_full_build(lines, k):
+    env = parse_program(_source(lines))
+    full = build_lts(env, CONFIG)
+    cut = build_lts(env, BuildConfig(max_states=k))
+    assert [n.key for n in cut.nodes] == [n.key for n in full.nodes][:k]
+    # A truncated probabilistic fan-out may sum only part of the mass of
+    # a merged edge, so only the other labels must match.
+    full_edges = set(full.edges)
+    for e in cut.edges:
+        assert isinstance(e.label, Prob) or e in full_edges
+    assert cut.truncated == (len(full.nodes) > k)
