@@ -15,10 +15,8 @@ probabilistic fan-out included; no other node is expanded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .canonical import canonicalize
-from .process import DefinitionEnv, Process, pretty_print
+from .process import DefinitionEnv, Process, _Record, _set, pretty_print
 from .semantics import (
     NodeKind,
     Prob,
@@ -30,36 +28,56 @@ from .semantics import (
 )
 
 
-@dataclass
-class BuildConfig:
-    max_states: int = 100_000
+class BuildConfig(_Record):
+    """Build limits. ``BuildConfig.max_states``, read on the class, is
+    the default limit."""
 
-    def __post_init__(self) -> None:
-        if self.max_states < 1:
-            raise ValueError("max_states must be positive")
+    __match_args__ = ("max_states",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+    max_states = 100_000
 
-
-@dataclass(frozen=True, slots=True)
-class LtsNode:
-    id: int
-    process: Process
-    key: str
-    kind: NodeKind
-
-
-@dataclass(frozen=True, slots=True)
-class LtsEdge:
-    source: int
-    target: int
-    label: TransitionLabel
+    def __init__(self, max_states: int = max_states) -> None:
+        # A bool, a float (nan among them) or a string would bend or
+        # disable the limit.
+        if type(max_states) is not int or max_states < 1:
+            raise ValueError(f"max_states must be a positive int: {max_states!r}")
+        self.max_states = max_states
 
 
-@dataclass
-class Lts:
-    nodes: list[LtsNode] = field(default_factory=list)
-    edges: list[LtsEdge] = field(default_factory=list)
-    root: int = 0
-    truncated: bool = False
+class LtsNode(_Record):
+    __slots__ = __match_args__ = ("id", "process", "key", "kind")
+
+    def __init__(self, id: int, process: Process, key: str, kind: NodeKind) -> None:
+        _set(self, "id", id)
+        _set(self, "process", process)
+        _set(self, "key", key)
+        _set(self, "kind", kind)
+
+
+class LtsEdge(_Record):
+    __slots__ = __match_args__ = ("source", "target", "label")
+
+    def __init__(self, source: int, target: int, label: TransitionLabel) -> None:
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "label", label)
+
+
+class Lts(_Record):
+    __slots__ = __match_args__ = ("nodes", "edges", "root", "truncated")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, nodes: list[LtsNode] | None = None,
+                 edges: list[LtsEdge] | None = None, root: int = 0,
+                 truncated: bool = False) -> None:
+        self.nodes = [] if nodes is None else nodes
+        self.edges = [] if edges is None else edges
+        self.root = root
+        self.truncated = truncated
 
 
 def build_lts(env: DefinitionEnv, config: BuildConfig | None = None) -> Lts:
@@ -68,12 +86,12 @@ def build_lts(env: DefinitionEnv, config: BuildConfig | None = None) -> Lts:
     # The build's table of shared nodes lives on a private copy of env
     # and is dropped on the way out, so nothing the build constructed
     # outlives it except through the result.
-    env = replace(env)
-    object.__setattr__(env, "_terms", {})
+    env = DefinitionEnv(env.bindings, env.root)
+    _set(env, "_terms", {})
     try:
         return _explore(env, max_states)
     finally:
-        object.__setattr__(env, "_terms", None)
+        _set(env, "_terms", None)
 
 
 def _explore(env: DefinitionEnv, max_states: int) -> Lts:

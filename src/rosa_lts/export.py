@@ -3,26 +3,23 @@ and JSON. All three are byte-deterministic for a given graph."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from .builder import Lts, stats
-from .process import INF, INF_KEYWORD, format_number
+from .process import INF, INF_KEYWORD, _Record, _set, format_number
 from .semantics import Action, NdBranch, NodeKind, Prob, TransitionLabel
 
 NODE_LABELS = ("id", "expr", "both")
 
 
-@dataclass(frozen=True)
-class ExportOptions:
-    node_labels: str = "both"
+class ExportOptions(_Record):
+    __slots__ = __match_args__ = ("node_labels",)
 
-    def __post_init__(self) -> None:
-        if self.node_labels not in NODE_LABELS:
+    def __init__(self, node_labels: str = "both") -> None:
+        if node_labels not in NODE_LABELS:
             raise ValueError(
                 f"node_labels must be one of {NODE_LABELS}, "
-                f"got {self.node_labels!r}"
+                f"got {node_labels!r}"
             )
+        _set(self, "node_labels", node_labels)
 
 
 def label_text(label: TransitionLabel) -> str:
@@ -116,6 +113,8 @@ def to_json(lts: Lts) -> str:
     """Compact JSON: `{"root","truncated","nodes","edges"}` with nodes
     `{"id","kind","expr"}` and edges `{"src","dst","label"}`; an
     infinite rate serializes as the string "inf"."""
+    import json  # here, to keep it out of every other CLI run's start-up
+
     doc = {
         "root": lts.root,
         "truncated": lts.truncated,

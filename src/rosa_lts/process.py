@@ -8,10 +8,13 @@ A rate is a positive float. The passive rate `INF` is IEEE infinity,
 which prints as ``inf`` and is the identity of ``min``, the joint rate
 of a synchronization.
 
-Nodes are frozen and slotted, so callers cannot attach attributes to
-them. Each node's printed form is computed once, from its children's
-printed forms, and cached on the node; printing a tree again, or a new
-tree built around already printed subtrees, renders only the new nodes.
+Nodes are instances of hand-written classes on one small base,
+`_Record`, which also serves the labels and the LTS records. They are
+frozen and slotted, so callers cannot attach attributes to them, and
+each constructor checks its own fields. Each node's printed form is
+computed once, from its children's printed forms, and cached on the
+node; printing a tree again, or a new tree built around already printed
+subtrees, renders only the new nodes.
 
 Nodes that a build constructs are shared: `build_lts` holds a table of
 them on its copy of the environment, and the rewrites and rules take
@@ -20,18 +23,16 @@ scalar fields on new children (and through `shared` for the two
 reweighted probabilistic choices of canonicalization). The table is
 keyed by constructor, by the scalar fields and by the ``id`` of each
 child, so a node built again from the same children comes back as the
-same object, with its printed form and canonical mark already cached,
-and a constructor checks its fields once per distinct node. Equality
-stays structural: nodes parsed from the source never enter the table,
-and equal subterms parsed separately remain distinct objects.
+same object, with its printed form and canonical mark already cached.
+Those nodes skip the constructors' checks, as each field is copied from
+a checked node or is a node. Equality stays structural: nodes parsed
+from the source never enter the table, and equal subterms parsed
+separately remain distinct objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TypeAlias, Union
-
 from .errors import UnboundVariable
 
 #: Reserved spelling of the infinite rate; never a valid action or
@@ -93,11 +94,61 @@ def _sync_set(value: object) -> frozenset[str]:
     raise ValueError(f"sync set must be a set of names: {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class _Term:
+class _Record:
+    """Shared base of the package's records: equality within one class,
+    hashing, ``repr`` and pickling over the fields ``__match_args__``
+    names, in constructor order. Unpickling and copying go through the
+    checking constructor. A record is frozen, unless it restores
+    ``object``'s ``__setattr__`` and ``__delattr__`` and drops the hash.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+_set = object.__setattr__
+
+
+def _fill(node: _Term, *fields: object) -> _Term:
+    """``node`` with ``fields`` set in ``__match_args__`` order and its
+    caches empty. The constructors call it once their checks pass;
+    `rebuild` and `shared` call it on a new node directly."""
+    for name, value in zip(node.__match_args__, fields):
+        _set(node, name, value)
+    _set(node, "_key", None)
+    _set(node, "_canonical", False)
+    return node
+
+
+class _Term(_Record):
     """Shared base of the process constructors.
 
-    The two fields are caches that take no part in construction,
+    The two slots are caches that take no part in construction,
     equality, hashing or ``repr``: ``_key`` holds the node's printed
     form once `pretty_print` has computed it, and ``_canonical`` marks
     a node that `canonicalize` returned, so that later canonicalizations
@@ -105,29 +156,31 @@ class _Term:
     functions.
     """
 
-    _key: str | None = field(default=None, init=False, repr=False, compare=False)
-    _canonical: bool = field(default=False, init=False, repr=False, compare=False)
+    __slots__ = ("_key", "_canonical")
 
     def __str__(self) -> str:
         return pretty_print(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Nil(_Term):
     """The terminated process ``0``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+    def __init__(self) -> None:
+        _fill(self)
+
+
 class Var(_Term):
     """A reference to a named process definition."""
 
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self) -> None:
-        _check_name(self.name, "process variable name")
+    def __init__(self, name: str) -> None:
+        _check_name(name, "process variable name")
+        _fill(self, name)
 
 
-@dataclass(frozen=True, slots=True)
 class Prefix(_Term):
     """``<a,r>.P``: perform action ``a`` at rate ``r``, then behave as P.
 
@@ -136,95 +189,94 @@ class Prefix(_Term):
     continuation gets an explicit Nil.
     """
 
-    action: str
-    rate: float
-    continuation: Process
+    __slots__ = __match_args__ = ("action", "rate", "continuation")
 
-    def __post_init__(self) -> None:
-        _check_name(self.action, "action name")
-        _check_operands(self.continuation)
-        value = _number(self.rate, "rate")
+    def __init__(self, action: str, rate: float, continuation: Process) -> None:
+        _check_name(action, "action name")
+        _check_operands(continuation)
+        value = _number(rate, "rate")
         if not value > 0.0:
             raise ValueError(f"rate must be positive: {value!r}")
-        object.__setattr__(self, "rate", value)
+        _fill(self, action, value, continuation)
 
 
-@dataclass(frozen=True, slots=True)
 class _Binary(_Term):
     """Shared base of the operators whose only fields are two operands."""
 
-    left: Process
-    right: Process
+    __slots__ = __match_args__ = ("left", "right")
 
-    def __post_init__(self) -> None:
-        _check_operands(self.left, self.right)
+    def __init__(self, left: Process, right: Process) -> None:
+        _check_operands(left, right)
+        _fill(self, left, right)
 
 
-@dataclass(frozen=True, slots=True)
 class Seq(_Binary):
     """``P;Q``: behave as P until it terminates, then as Q."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+
 class IntChoice(_Binary):
     """``P - Q``: internal choice, resolved by the system before timing."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+
 class ExtChoice(_Binary):
     """``P + Q``: external choice, resolved by whichever action occurs."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+
 class ProbChoice(_Term):
     """``P *{r} Q``: behave as P with probability r, as Q with 1-r."""
 
-    prob: float
-    left: Process
-    right: Process
+    __slots__ = __match_args__ = ("prob", "left", "right")
 
-    def __post_init__(self) -> None:
-        _check_operands(self.left, self.right)
-        value = _number(self.prob, "probability")
+    def __init__(self, prob: float, left: Process, right: Process) -> None:
+        _check_operands(left, right)
+        value = _number(prob, "probability")
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"probability outside [0,1]: {value!r}")
-        object.__setattr__(self, "prob", value)
+        _fill(self, value, left, right)
 
 
-@dataclass(frozen=True, slots=True)
 class Par(_Term):
     """``P ||{A} Q``: parallel composition synchronizing on the actions
     in A; all other actions interleave."""
 
-    sync: frozenset[str]
-    left: Process
-    right: Process
+    __slots__ = __match_args__ = ("sync", "left", "right")
 
-    def __post_init__(self) -> None:
-        _check_operands(self.left, self.right)
-        object.__setattr__(self, "sync", _sync_set(self.sync))
+    def __init__(self, sync: frozenset[str], left: Process, right: Process) -> None:
+        _check_operands(left, right)
+        _fill(self, _sync_set(sync), left, right)
 
 
-Process: TypeAlias = Union[Nil, Var, Prefix, Seq, IntChoice, ExtChoice, ProbChoice, Par]
+Process = Nil | Var | Prefix | Seq | IntChoice | ExtChoice | ProbChoice | Par
 
 #: The terminated process; all ``Nil()`` instances compare equal.
 NIL = Nil()
 
 
-@dataclass(frozen=True)
-class DefinitionEnv:
+class DefinitionEnv(_Record):
     """Named process definitions plus the name of the process to analyse.
 
     ``bindings`` keeps insertion order; recursive and mutually recursive
     bindings are legal (guardedness is checked where definitions are
-    unfolded, not here).
+    unfolded, not here). The record is frozen but holds a dict, so it
+    cannot be hashed.
     """
 
-    bindings: dict[str, Process] = field(default_factory=dict)
-    root: str = MAIN_NAME
-    #: The table of shared nodes (see `rebuild`) on the copy that
-    #: `build_lts` works on; None on every other environment.
-    _terms: dict | None = field(default=None, init=False, repr=False, compare=False)
+    # ``_terms`` is the table of shared nodes (see `rebuild`) on the
+    # copy that `build_lts` works on; None on every other environment.
+    __slots__ = ("bindings", "root", "_terms")
+    __match_args__ = ("bindings", "root")
+
+    def __init__(self, bindings: dict[str, Process] | None = None,
+                 root: str = MAIN_NAME) -> None:
+        _set(self, "bindings", {} if bindings is None else bindings)
+        _set(self, "root", root)
+        _set(self, "_terms", None)
 
     def lookup(self, name: str) -> Process:
         """The body bound to ``name``, verbatim (no substitution)."""
@@ -264,23 +316,25 @@ def rebuild(
         key = (kind, None, id(left), id(right))
     node = terms.get(key)
     if node is None:
+        # Unchecked: the scalars were checked on p; the operands are nodes.
         if kind is Prefix:
-            node = Prefix(p.action, p.rate, left)
+            node = _fill(object.__new__(Prefix), p.action, p.rate, left)
         elif key[1] is None:
-            node = kind(left, right)
+            node = _fill(object.__new__(kind), left, right)
         else:
-            node = kind(key[1], left, right)
+            node = _fill(object.__new__(kind), key[1], left, right)
         terms[key] = node
     return node
 
 
 def shared(terms: dict, prob: float, left: Process, right: Process) -> Process:
     """``ProbChoice(prob, left, right)`` from ``terms``, as `rebuild`
-    would give it, for a weight that no node to copy carries."""
+    would give it, for a weight that no node to copy carries: 0.5, or
+    the complement of a checked weight."""
     key = (ProbChoice, prob, id(left), id(right))
     node = terms.get(key)
     if node is None:
-        node = terms[key] = ProbChoice(prob, left, right)
+        node = terms[key] = _fill(object.__new__(ProbChoice), prob, left, right)
     return node
 
 

@@ -29,8 +29,6 @@ canonical, and its key printed, at once.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TypeAlias, Union
 
 from .canonical import canonicalize
 from .process import (
@@ -43,6 +41,8 @@ from .process import (
     ProbChoice,
     Process,
     Seq,
+    _Record,
+    _set,
     rebuild,
 )
 
@@ -50,40 +50,58 @@ from .process import (
 PROB_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class NdBranch:
+class NdBranch(_Record):
     """Resolution of one internal choice; ``path`` locates it ("L", "R",
     or a dotted congruence path like "L.R")."""
 
-    path: str
+    __slots__ = __match_args__ = ("path",)
 
-    def __post_init__(self) -> None:
-        if not self.path:
+    def __init__(self, path: str) -> None:
+        if not path:
             raise ValueError("empty branch path")
+        _set(self, "path", path)
+
+    # The builder hashes every (label, target) pair it collects.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is NdBranch:
+            return self.path == other.path
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.path)
 
 
-@dataclass(frozen=True, slots=True)
-class Prob:
+class Prob(_Record):
     """Probabilistic resolution taken with probability ``p``."""
 
-    p: float
+    __slots__ = __match_args__ = ("p",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, p: float) -> None:
         # Merged parallel branches can overshoot 1 by float error.
-        if not (0.0 < self.p <= 1.0 + PROB_TOLERANCE):
-            raise ValueError(f"probability out of (0,1]: {self.p!r}")
-        object.__setattr__(self, "p", float(self.p))
+        if not (0.0 < p <= 1.0 + PROB_TOLERANCE):
+            raise ValueError(f"probability out of (0,1]: {p!r}")
+        _set(self, "p", float(p))
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
+class Action(_Record):
     """Timed execution of a named action."""
 
-    name: str
-    rate: float
+    __slots__ = __match_args__ = ("name", "rate")
+
+    def __init__(self, name: str, rate: float) -> None:
+        _set(self, "name", name)
+        _set(self, "rate", rate)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Action:
+            return self.name == other.name and self.rate == other.rate
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.rate))
 
 
-TransitionLabel: TypeAlias = Union[NdBranch, Prob, Action]
+TransitionLabel = NdBranch | Prob | Action
 
 
 class NodeKind(enum.Enum):
