@@ -39,11 +39,15 @@ class BuildConfig(_Record):
     max_states = 100_000
 
     def __init__(self, max_states: int = max_states) -> None:
-        # A bool, a float (nan among them) or a string would bend or
-        # disable the limit.
-        if type(max_states) is not int or max_states < 1:
-            raise ValueError(f"max_states must be a positive int: {max_states!r}")
-        self.max_states = max_states
+        self.max_states = _checked_limit(max_states)
+
+
+def _checked_limit(max_states: object) -> int:
+    # A bool, a float (nan among them) or a string would bend or
+    # disable the limit.
+    if type(max_states) is not int or max_states < 1:
+        raise ValueError(f"max_states must be a positive int: {max_states!r}")
+    return max_states
 
 
 class LtsNode(_Record):
@@ -82,7 +86,8 @@ class Lts(_Record):
 
 def build_lts(env: DefinitionEnv, config: BuildConfig | None = None) -> Lts:
     """Explore the reachable state space of env's root process."""
-    max_states = (config or BuildConfig()).max_states
+    # The limit is checked again here, as a config's field is writable.
+    max_states = _checked_limit((config or BuildConfig()).max_states)
     # The build's table of shared nodes lives on a private copy of env
     # and is dropped on the way out, so nothing the build constructed
     # outlives it except through the result.

@@ -23,11 +23,10 @@ scalar fields on new children (and through `shared` for the two
 reweighted probabilistic choices of canonicalization). The table is
 keyed by constructor, by the scalar fields and by the ``id`` of each
 child, so a node built again from the same children comes back as the
-same object, with its printed form and canonical mark already cached.
-Those nodes skip the constructors' checks, as each field is copied from
-a checked node or is a node. Equality stays structural: nodes parsed
-from the source never enter the table, and equal subterms parsed
-separately remain distinct objects.
+same object, with its printed form and canonical mark already cached,
+and a constructor checks its fields once per distinct node. Equality
+stays structural: nodes parsed from the source never enter the table,
+and equal subterms parsed separately remain distinct objects.
 """
 
 from __future__ import annotations
@@ -134,15 +133,13 @@ class _Record:
 _set = object.__setattr__
 
 
-def _fill(node: _Term, *fields: object) -> _Term:
-    """``node`` with ``fields`` set in ``__match_args__`` order and its
-    caches empty. The constructors call it once their checks pass;
-    `rebuild` and `shared` call it on a new node directly."""
+def _fill(node: _Term, *fields: object) -> None:
+    """Set ``fields`` on ``node`` in ``__match_args__`` order and empty
+    its caches; each node constructor calls it once its checks pass."""
     for name, value in zip(node.__match_args__, fields):
         _set(node, name, value)
     _set(node, "_key", None)
     _set(node, "_canonical", False)
-    return node
 
 
 class _Term(_Record):
@@ -316,25 +313,23 @@ def rebuild(
         key = (kind, None, id(left), id(right))
     node = terms.get(key)
     if node is None:
-        # Unchecked: the scalars were checked on p; the operands are nodes.
         if kind is Prefix:
-            node = _fill(object.__new__(Prefix), p.action, p.rate, left)
+            node = Prefix(p.action, p.rate, left)
         elif key[1] is None:
-            node = _fill(object.__new__(kind), left, right)
+            node = kind(left, right)
         else:
-            node = _fill(object.__new__(kind), key[1], left, right)
+            node = kind(key[1], left, right)
         terms[key] = node
     return node
 
 
 def shared(terms: dict, prob: float, left: Process, right: Process) -> Process:
     """``ProbChoice(prob, left, right)`` from ``terms``, as `rebuild`
-    would give it, for a weight that no node to copy carries: 0.5, or
-    the complement of a checked weight."""
+    would give it, for a weight that no node to copy carries."""
     key = (ProbChoice, prob, id(left), id(right))
     node = terms.get(key)
     if node is None:
-        node = terms[key] = _fill(object.__new__(ProbChoice), prob, left, right)
+        node = terms[key] = ProbChoice(prob, left, right)
     return node
 
 

@@ -61,15 +61,6 @@ class NdBranch(_Record):
             raise ValueError("empty branch path")
         _set(self, "path", path)
 
-    # The builder hashes every (label, target) pair it collects.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is NdBranch:
-            return self.path == other.path
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.path)
-
 
 class Prob(_Record):
     """Probabilistic resolution taken with probability ``p``."""
@@ -91,14 +82,6 @@ class Action(_Record):
     def __init__(self, name: str, rate: float) -> None:
         _set(self, "name", name)
         _set(self, "rate", rate)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Action:
-            return self.name == other.name and self.rate == other.rate
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.rate))
 
 
 TransitionLabel = NdBranch | Prob | Action
