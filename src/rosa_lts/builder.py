@@ -15,7 +15,7 @@ probabilistic fan-out included; no other node is expanded.
 
 from __future__ import annotations
 
-from .canonical import canonicalize
+from .canonical import canonicalize, check
 from .process import DefinitionEnv, Process, _Record, _set, pretty_print
 from .semantics import (
     NodeKind,
@@ -94,12 +94,12 @@ def build_lts(env: DefinitionEnv, config: BuildConfig | None = None) -> Lts:
     env = DefinitionEnv(env.bindings, env.root)
     _set(env, "_terms", {})
     try:
-        return _explore(env, max_states)
+        return _explore(env, check(env), max_states)
     finally:
         _set(env, "_terms", None)
 
 
-def _explore(env: DefinitionEnv, max_states: int) -> Lts:
+def _explore(env: DefinitionEnv, root: Process, max_states: int) -> Lts:
     lts = Lts()
     nodes = lts.nodes
     id_by_key: dict[str, int] = {}
@@ -115,7 +115,7 @@ def _explore(env: DefinitionEnv, max_states: int) -> Lts:
             nodes.append(LtsNode(found, canonical, key, classify(canonical, env)))
         return found
 
-    admit(env.root_process())
+    admit(root)
     for node in nodes:
         prob = node.kind == NodeKind.PROB_UNSTABLE
         if prob:

@@ -20,21 +20,18 @@ parallel, the left of ';') are unfolded so that a definition and its
 body get the same key; variables under an action guard stay folded,
 which keeps keys finite for recursive definitions. This is the only
 place that unfolds: the transition rules read canonical terms, which
-have no unguarded variable left.
+have no unguarded variable left. The walk's flag ``guarded`` is set
+under a prefix and on the right of ';'; a variable there is returned
+as it is, and only results at unguarded positions are marked canonical
+(below).
 
-The walk carries one argument for both facts, ``open_``. At a guarded
-position (under a prefix, the right of ';') it is None, and a variable
-there is returned as it is. At an unguarded position it is the path of
-names unfolded since the last guard, and only there is a result marked
-canonical (below).
-
-Recursion through process variables must pass an action guard. Each
-path carries the names it has unfolded since the last guard (each
-operand gets its own path), and a name that comes back means the
-rewrite would repeat itself forever, so exactly then it raises
-UnguardedRecursion naming the cycle (``P = P``, ``P = 0;P``, or
-``P = Q||{}0`` with ``Q = P+a.0``). Sibling operands and separate
-calls share nothing, so no count of unfolds can run out.
+A definition's body canonicalizes the same wherever it is unfolded, so
+it is rewritten once per table of shared nodes and kept there under its
+name. Meeting a name again while its body is rewritten is recursion
+that no action guards (``P = P``, ``P = 0;P``, or ``P = Q||{}0`` with
+``Q = P+a.0``), and raises UnguardedRecursion naming the cycle. `check`
+rewrites every definition the root reaches before a build explores any
+state.
 
 Operands are ordered, and S3 detected, by comparing keys, which each
 node computes once and caches (see `pretty_print`); printing is
@@ -72,24 +69,28 @@ from .process import (
 )
 
 
-def _unfold(
-    p: Process, env: DefinitionEnv, open_: tuple[str, ...]
-) -> tuple[Process, tuple[str, ...]]:
-    """Unfold root variables of ``p``; ``open_`` holds the names already
-    unfolded on this path since the last action guard. The walk keeps
-    a list and a set, so a chain of aliases unfolds in linear time."""
-    if not isinstance(p, Var):
-        return p, open_
-    path = list(open_)
-    seen = set(open_)
-    while isinstance(p, Var):
-        name = p.name
-        if name in seen:
-            raise UnguardedRecursion(tuple(path[path.index(name):]) + (name,))
-        path.append(name)
-        seen.add(name)
-        p = env.lookup(name)
-    return p, tuple(path)
+def check(env: DefinitionEnv) -> Process:
+    """Rewrite every definition the root's body reaches, except through
+    an operand that S5 drops, and return the canonical root state."""
+    terms = env._shared_terms()
+    stack = [env.root_process()]
+    root = canonicalize(stack[0], env)
+    seen = set()
+    while stack:
+        p = stack.pop()
+        while type(p) is Prefix:
+            p = p.continuation
+        kind = type(p)
+        if kind is Var:
+            if p.name not in seen:
+                seen.add(p.name)
+                _canon(p, env, terms, False)
+                stack.append(env.lookup(p.name))
+        elif kind is ProbChoice and (p.prob == 1.0 or p.prob == 0.0):
+            stack.append(p.left if p.prob == 1.0 else p.right)
+        elif kind is not Nil:
+            stack += p.right, p.left
+    return root
 
 
 def canonicalize(p: Process, env: DefinitionEnv) -> Process:
@@ -99,7 +100,7 @@ def canonicalize(p: Process, env: DefinitionEnv) -> Process:
             return p
     except AttributeError:
         raise TypeError(f"not a Process: {p!r}") from None
-    return _canon(p, env, env._shared_terms(), ())
+    return _canon(p, env, env._shared_terms(), False)
 
 
 def canonical_key(p: Process, env: DefinitionEnv) -> str:
@@ -107,41 +108,56 @@ def canonical_key(p: Process, env: DefinitionEnv) -> str:
     return pretty_print(canonicalize(p, env))
 
 
-def _canon(
-    p: Process, env: DefinitionEnv, terms: dict, open_: tuple[str, ...] | None
-) -> Process:
+def _canon(p: Process, env: DefinitionEnv, terms: dict, guarded: bool) -> Process:
     # Marked below: a fixed point in any position (module docstring).
     if p._canonical:
         return p
     kind = type(p)
     if kind is Var:
-        if open_ is None:
+        if guarded:
             return p
-        body, open_ = _unfold(p, env, open_)
-        q = _canon(body, env, terms, open_)
-    elif kind is Nil:
+        # A definition is rewritten once per table (module docstring),
+        # here and not in a helper: two frames per nested one, not three.
+        chain = []
+        while p.name not in terms:
+            terms[p.name] = None  # open until rewritten
+            chain.append(p.name)
+            p = env.lookup(p.name)
+            if type(p) is not Var:
+                q = _canon(p, env, terms, False)
+                break
+        else:
+            q = terms[p.name]
+            if q is None:
+                # The open entries, in insertion order, are the unfold path.
+                cycle = [n for n, value in terms.items() if value is None]
+                raise UnguardedRecursion(tuple(cycle[cycle.index(p.name):]) + (p.name,))
+        for name in chain:
+            terms[name] = q
+        return q
+    if kind is Nil:
         q = p
     elif kind is Prefix:
-        cont = _canon(p.continuation, env, terms, None)
+        cont = _canon(p.continuation, env, terms, True)
         q = p if cont is p.continuation else rebuild(terms, p, cont)
     elif kind is Seq:
-        left = _canon(p.left, env, terms, open_)
+        left = _canon(p.left, env, terms, guarded)
         if type(left) is Nil:
             # S1 exposes the right operand at this position.
-            q = _canon(p.right, env, terms, open_)
+            q = _canon(p.right, env, terms, guarded)
         else:
-            right = _canon(p.right, env, terms, None)
+            right = _canon(p.right, env, terms, True)
             if left is p.left and right is p.right:
                 q = p
             else:
                 q = rebuild(terms, p, left, right)
     elif kind is ProbChoice and (p.prob == 1.0 or p.prob == 0.0):
         # S5, before the dead operand is visited.
-        q = _canon(p.left if p.prob == 1.0 else p.right, env, terms, open_)
+        q = _canon(p.left if p.prob == 1.0 else p.right, env, terms, guarded)
     else:
         # S2-S4 on -, +, *{r} and ||{A}.
-        left = _canon(p.left, env, terms, open_)
-        right = _canon(p.right, env, terms, open_)
+        left = _canon(p.left, env, terms, guarded)
+        right = _canon(p.right, env, terms, guarded)
         if kind is Par and type(left) is Nil and type(right) is Nil:
             q = NIL
         else:
@@ -163,6 +179,6 @@ def _canon(
                 q = shared(terms, 0.5, left, left)
             else:
                 q = left
-    if open_ is not None:
+    if not guarded:
         object.__setattr__(q, "_canonical", True)
     return q

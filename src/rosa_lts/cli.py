@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .builder import BuildConfig, build_lts
-from .canonical import canonicalize
+from .canonical import check
 from .errors import (
     DuplicateDefinition,
     ParseError,
@@ -36,10 +36,13 @@ _STATE_TOO_DEEP = "error: a state is nested too deeply to build"
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a positive integer")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -92,7 +95,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="parse and check the root state only; print nothing on success",
+        help="check every definition the root reaches; print nothing on success",
     )
     return parser
 
@@ -124,7 +127,7 @@ def run(args: argparse.Namespace) -> int:
 
     try:
         if args.check:
-            canonicalize(env.root_process(), env)
+            check(env)
             return 0
         lts = build_lts(env, BuildConfig(max_states=args.max_states))
     except (UnboundVariable, UnguardedRecursion) as exc:

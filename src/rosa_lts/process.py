@@ -259,13 +259,14 @@ class DefinitionEnv(_Record):
     """Named process definitions plus the name of the process to analyse.
 
     ``bindings`` keeps insertion order; recursive and mutually recursive
-    bindings are legal (guardedness is checked where definitions are
-    unfolded, not here). The record is frozen but holds a dict, so it
-    cannot be hashed.
+    bindings are legal (guardedness is checked by `canonical.check`,
+    not here). The record is frozen but holds a dict, so it cannot be
+    hashed.
     """
 
-    # ``_terms`` is the table of shared nodes (see `rebuild`) on the
-    # copy that `build_lts` works on; None on every other environment.
+    # ``_terms`` is the build's table of shared nodes (see `rebuild`) and
+    # of canonical bodies by name, on the copy that `build_lts` works on;
+    # None on every other environment.
     __slots__ = ("bindings", "root", "_terms")
     __match_args__ = ("bindings", "root")
 

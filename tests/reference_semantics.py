@@ -5,13 +5,18 @@ A verbatim copy of the stability predicates, the rule families and
 (``_ds``/``_ps``) at every level. `test_semantics.py` uses it as an
 oracle: the current walks must give the same kinds and the same
 successor lists, in the same order.
+
+`_unfold` is the dynamic guardedness check that `canonical` used before
+it rewrote each definition once: it unfolds the root variables of a
+term and raises UnguardedRecursion when a name comes back on the path
+since the last guard.
 """
 
 from __future__ import annotations
 
 from builtins import min as sync_rate
 
-from rosa_lts.canonical import _unfold
+from rosa_lts.errors import UnguardedRecursion
 from rosa_lts.process import (
     DefinitionEnv,
     ExtChoice,
@@ -22,6 +27,7 @@ from rosa_lts.process import (
     ProbChoice,
     Process,
     Seq,
+    Var,
 )
 from rosa_lts.semantics import (
     Action,
@@ -29,6 +35,26 @@ from rosa_lts.semantics import (
     NodeKind,
     Prob,
 )
+
+
+def _unfold(
+    p: Process, env: DefinitionEnv, open_: tuple[str, ...]
+) -> tuple[Process, tuple[str, ...]]:
+    """Unfold root variables of ``p``; ``open_`` holds the names already
+    unfolded on this path since the last action guard. The walk keeps
+    a list and a set, so a chain of aliases unfolds in linear time."""
+    if not isinstance(p, Var):
+        return p, open_
+    path = list(open_)
+    seen = set(open_)
+    while isinstance(p, Var):
+        name = p.name
+        if name in seen:
+            raise UnguardedRecursion(tuple(path[path.index(name):]) + (name,))
+        path.append(name)
+        seen.add(name)
+        p = env.lookup(name)
+    return p, tuple(path)
 
 
 def _ds(p: Process, env: DefinitionEnv, open_: tuple[str, ...]) -> bool:

@@ -3,6 +3,7 @@ table of shared nodes that lives for one build."""
 
 import gc
 import random
+from collections import Counter
 
 import pytest
 
@@ -262,6 +263,29 @@ def test_a_state_reached_twice_is_one_object(monkeypatch):
     assert sum(len(found) for found in seen.values()) > 2 * len(seen)
     for found in seen.values():
         assert all(q is found[0] for q in found)
+
+
+def test_a_build_unfolds_each_definition_once(monkeypatch):
+    # Three components: 4**3 + 2*3*4**2 + 1 = 161 states, and one unfold
+    # of a component variable for nearly every successor.
+    source = "".join(
+        f"P{i} = <a{i},1>.(<b{i},2>.P{i} - <c{i},0.5>.P{i}) *{{0.5}} <d{i},1>.P{i}\n"
+        for i in (1, 2, 3)
+    ) + "main = P1 ||{} P2 ||{} P3\n"
+    calls = Counter()
+    lookup = DefinitionEnv.lookup
+
+    def spy(env, name):
+        calls[name] += 1
+        return lookup(env, name)
+
+    monkeypatch.setattr(DefinitionEnv, "lookup", spy)
+    lts = build_lts(parse_program(source))
+    assert len(lts.nodes) == 161
+    # Each body is read once to rewrite it and once to walk it, the
+    # root's once. Reading it at every unfold makes 148 calls here.
+    assert set(calls) == {"P1", "P2", "P3", "main"}
+    assert max(calls.values()) <= 2
 
 
 def test_a_build_keeps_no_node_once_it_returns():

@@ -95,11 +95,16 @@ UNGUARDED = {
     "seq_unit": ("P = 0;P\n", "P -> P"),
     "seq_choice": ("P = (0-0);P\n", "P -> P"),
     "through_operators": ("P = Q||{}0\nQ = P+a.0\n", "P -> Q -> P"),
+    # The cycle is first unfolded in a successor, not in the root state.
+    "behind_a_guard": ("main = a.P\nP = P\n", "P -> P"),
+    # No state ever unfolds P: its sync partner is never offered, or the
+    # left of ';' never ends. Both are still rejected.
+    "behind_a_blocked_sync": ("main = c.0 ||{b} b.P\nP = P\n", "P -> P"),
+    "after_an_endless_left": ("X = a.X\nP = P\nmain = X;P\n", "P -> P"),
 }
 
 
-# --check canonicalizes the root state, so it finds a cycle at the root
-# as the build does.
+# --check runs the build's own check: every definition the root reaches.
 @pytest.mark.parametrize(
     "source, cycle, flags",
     [
@@ -115,6 +120,23 @@ def test_unguarded_recursion_exit_code(tmp_path, capsys, source, cycle, flags):
     captured = capsys.readouterr()
     assert captured.err == f"error: unguarded recursion: {cycle}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [[], ["--check"]])
+def test_the_operand_s5_drops_is_not_checked(tmp_path, capsys, flags):
+    path = tmp_path / "dead.rosa"
+    path.write_text("main = a.0 *{1} P\nP = P\n", encoding="utf-8")
+    assert main([str(path), *flags]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0"])
+def test_max_states_must_be_a_positive_integer(sample_file, capsys, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main([sample_file, "--max-states", value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --max-states: must be a positive integer\n")
 
 
 def test_root_override_selects_a_definition(tmp_path, capsys):

@@ -8,19 +8,27 @@ sometimes a bare line.
 Unlike the closed terms of the acceptance tests, these programs unfold
 variables at the root, under ``;`` and as parallel operands, and keep
 them folded under every prefix.
+
+The exit-code law runs through the command line on looser programs,
+whose bare variables may also sit where they are unfolded, so that
+some of them recurse unguarded.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import io
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisim import bisimilar, raw_key_lts
+from test_cli import UNGUARDED
 from rosa_lts import (
     BuildConfig,
     DefinitionEnv,
@@ -37,6 +45,7 @@ from rosa_lts import (
     to_json,
     to_text,
 )
+from rosa_lts.cli import main
 
 
 def _load_checker():
@@ -67,26 +76,39 @@ _heads = st.builds(
 )
 
 
-def _bodies(names: list[str]) -> st.SearchStrategy[str]:
+_syncs = st.sets(st.sampled_from(ACTIONS)).map(lambda s: ",".join(sorted(s)))
+
+
+def _bodies(names: list[str], loose: bool = False) -> st.SearchStrategy[str]:
+    """Variables only as prefix continuations; with ``loose``, also bare
+    and under ``;`` and ``||{A}``."""
     # A head alone is an action constant: ``a`` names no definition.
-    leaves = st.one_of(
+    leaves = [
         st.just("0"),
         _heads,
         st.builds("{}.0".format, _heads),
         st.builds("{}.{}".format, _heads, st.sampled_from(names)),
-    )
+    ]
+    if loose:
+        leaves.append(st.sampled_from(names))
 
     def extend(children):
-        return st.one_of(
+        operators = [
             st.builds("{}.({})".format, _heads, children),
             st.builds("({} - {})".format, children, children),
             st.builds("({} + {})".format, children, children),
             st.builds(
                 "({} *{{{}}} {})".format, children, st.sampled_from(PROBS), children
             ),
-        )
+        ]
+        if loose:
+            operators += [
+                st.builds("({};{})".format, children, children),
+                st.builds("({} ||{{{}}} {})".format, children, _syncs, children),
+            ]
+        return st.one_of(operators)
 
-    return st.recursive(leaves, extend, max_leaves=6)
+    return st.recursive(st.one_of(leaves), extend, max_leaves=6)
 
 
 @st.composite
@@ -102,6 +124,16 @@ def programs(draw) -> list[str]:
     if draw(st.booleans()):
         main = f"{draw(pick)};({main})"
     return lines + [main if draw(st.booleans()) else f"main = {main}"]
+
+
+@st.composite
+def loose_programs(draw) -> list[str]:
+    """1 to 3 definitions and a ``main``, each body drawn with bare
+    variables allowed at the root, as either operand of -, +, *{r} and
+    ||{A}, and on either side of ';'."""
+    names = [f"D{i}" for i in range(draw(st.integers(1, 3)))]
+    bodies = _bodies(names, loose=True)
+    return [f"{name} = {draw(bodies)}" for name in names + ["main"]]
 
 
 def _mirror(p):
@@ -174,3 +206,38 @@ def test_a_truncated_build_is_a_prefix_of_the_full_build(lines, k):
     for e in cut.edges:
         assert isinstance(e.label, Prob) or e in full_edges
     assert cut.truncated == (len(full.nodes) > k)
+
+
+def _run(source: str, *flags: str) -> tuple[int, str]:
+    """Exit code and stderr of the command on ``source`` read from stdin."""
+    stdin = io.TextIOWrapper(io.BytesIO(source.encode()))
+    err = io.StringIO()
+    with mock.patch.object(sys, "stdin", stdin), redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        code = main(["-", *flags])
+    return code, err.getvalue()
+
+
+def _unguarded_examples(test):
+    for source, _ in UNGUARDED.values():
+        test = example(source.splitlines(), 10)(test)
+    return test
+
+
+# A parallel operand that respawns itself on every synchronized step,
+# such as D0 = <d,1>.D0 ||{d} (<d,1>;D0), doubles the printed state at
+# each step, so the state limit stays small.
+@PROPERTY
+@_unguarded_examples
+@given(loose_programs(), st.integers(1, 10))
+def test_check_fails_exactly_where_the_build_fails(lines, max_states):
+    source = _source(lines)
+    build = _run(source, "--max-states", str(max_states))
+    checked = _run(source, "--check")
+    for code, err in (build, checked):
+        assert code in (0, 3), (code, err, lines)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, lines
+    assert checked[1] == "" or checked[0] == 3, lines
+    assert (checked[0] == 3) == (build[0] == 3), lines
+    assert checked[1] == build[1] or build[0] == 0, lines

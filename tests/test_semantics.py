@@ -29,7 +29,6 @@ from rosa_lts import (
     parse_program,
     prob_successors,
 )
-from rosa_lts.canonical import _unfold
 import reference_semantics as ref
 from gen import VAR_ENV, gen_process
 
@@ -42,14 +41,14 @@ def a(name="a", cont=NIL):
 
 def test_unfold_resolves_root_variables():
     env = DefinitionEnv(bindings={"E": Prefix("a", 0.1, NIL)})
-    assert _unfold(Var("E"), env, ())[0] == Prefix("a", 0.1, NIL)
-    assert _unfold(NIL, env, ())[0] == NIL
+    assert ref._unfold(Var("E"), env, ())[0] == Prefix("a", 0.1, NIL)
+    assert ref._unfold(NIL, env, ())[0] == NIL
 
 
 def test_unfold_diverges_on_unguarded_recursion():
     env = DefinitionEnv(bindings={"P": Var("P")})
     with pytest.raises(UnguardedRecursion):
-        _unfold(Var("P"), env, ())[0]
+        ref._unfold(Var("P"), env, ())[0]
 
 
 def test_det_stability():
