@@ -88,11 +88,11 @@ def build_lts(env: DefinitionEnv, config: BuildConfig | None = None) -> Lts:
     """Explore the reachable state space of env's root process."""
     # The limit is checked again here, as a config's field is writable.
     max_states = _checked_limit((config or BuildConfig()).max_states)
-    # The build's table of shared nodes lives on a private copy of env
-    # and is dropped on the way out, so nothing the build constructed
-    # outlives it except through the result.
+    # The build's table of shared nodes, with the rule walks' memos,
+    # lives on a private copy of env and is dropped on the way out, so
+    # nothing the build constructed outlives it except through the result.
     env = DefinitionEnv(env.bindings, env.root)
-    _set(env, "_terms", {})
+    _set(env, "_terms", env._shared_terms())
     try:
         return _explore(env, check(env), max_states)
     finally:

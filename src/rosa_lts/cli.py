@@ -123,6 +123,11 @@ def run(args: argparse.Namespace) -> int:
         return 2
 
     if args.root is not None:
+        if args.root not in env.bindings:
+            names = ", ".join(sorted(env.bindings))
+            print(f"error: {UnboundVariable(args.root)}; defined: {names}",
+                  file=sys.stderr)
+            return 3
         env = DefinitionEnv(bindings=env.bindings, root=args.root)
 
     try:

@@ -264,9 +264,9 @@ class DefinitionEnv(_Record):
     hashed.
     """
 
-    # ``_terms`` is the build's table of shared nodes (see `rebuild`) and
-    # of canonical bodies by name, on the copy that `build_lts` works on;
-    # None on every other environment.
+    # ``_terms`` is the build's table of shared nodes (see `rebuild`), of
+    # canonical bodies by name and of the rule walks' memos, on the copy
+    # that `build_lts` works on; None on every other environment.
     __slots__ = ("bindings", "root", "_terms")
     __match_args__ = ("bindings", "root")
 
@@ -288,8 +288,15 @@ class DefinitionEnv(_Record):
 
     def _shared_terms(self) -> dict:
         """The build's table of shared nodes, or a new one that lasts
-        for one call outside a build."""
-        return {} if self._terms is None else self._terms
+        for one call outside a build, with an empty memo per rule walk."""
+        if self._terms is None:
+            return {_LAYER_MEMO: {}, _ND_MEMO: {}, _PROB_MEMO: {}, _ACT_MEMO: {}}
+        return self._terms
+
+
+#: Keys of the rule walks' memos (see `semantics`): ints, which no
+#: definition name and no `rebuild` key equals.
+_LAYER_MEMO, _ND_MEMO, _PROB_MEMO, _ACT_MEMO = range(4)
 
 
 def rebuild(

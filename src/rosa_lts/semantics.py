@@ -24,6 +24,16 @@ The rules take each node they build from the build's table of shared
 nodes (`process.rebuild`). A successor that another state, or another
 rule, has built already is the same object, so the builder finds it
 canonical, and its key printed, at once.
+
+The table also holds one memo per walk, from the ``id`` of a non-leaf
+node to the walk's result for it. A walk marks a node the first time
+it meets it and keeps the result from the second time on, so a shared
+subterm is walked below at most twice per build, and a node met once
+(each level of one very wide term) leaves no list for the garbage
+collector to trace. A result is a pure function of a canonical node and
+the table, and no id is reused while the table lives, as an admitted
+state or the table holds every node a walk reads. The builder only
+iterates a cached list.
 """
 
 from __future__ import annotations
@@ -41,6 +51,10 @@ from .process import (
     ProbChoice,
     Process,
     Seq,
+    _ACT_MEMO,
+    _LAYER_MEMO,
+    _ND_MEMO,
+    _PROB_MEMO,
     _Record,
     _set,
     rebuild,
@@ -97,11 +111,13 @@ class NodeKind(enum.Enum):
 
 # layer walk ----------------------------------------------------------
 
+# Memo entries (module docstring): no entry, and a node met once.
+_NEW, _ONCE = object(), object()
 _ND = (NodeKind.ND_UNSTABLE, ())
 _PROB = (NodeKind.PROB_UNSTABLE, ())
 
 
-def _layer(p: Process) -> tuple[NodeKind | None, tuple[str, ...]]:
+def _layer(p: Process, terms: dict) -> tuple[NodeKind | None, tuple[str, ...]]:
     """``(layer, offers)``: ND_UNSTABLE, PROB_UNSTABLE or None (stable),
     and the action names a stable ``p`` can fire. An nd left operand
     ends the walk: the right is not visited."""
@@ -112,22 +128,29 @@ def _layer(p: Process) -> tuple[NodeKind | None, tuple[str, ...]]:
         return None, ()
     if kind is IntChoice:
         return _ND
+    memo, key = terms[_LAYER_MEMO], id(p)
+    seen = memo.get(key, _NEW)
+    if seen is not _NEW and seen is not _ONCE:
+        return seen
     if kind is Seq:
-        return _layer(p.left)
-    left, left_offers = _layer(p.left)
-    if left is NodeKind.ND_UNSTABLE:
-        return _ND
-    right, right_offers = _layer(p.right)
-    if right is NodeKind.ND_UNSTABLE:
-        return _ND
-    if kind is ProbChoice or left is not None or right is not None:
-        return _PROB
-    offers = left_offers + right_offers
-    if kind is Par and p.sync:
-        # A name in the sync set fires only if both sides offer it.
-        offers = tuple(n for n in offers if n not in p.sync
-                       or (n in left_offers and n in right_offers))
-    return None, offers
+        out = _layer(p.left, terms)
+    else:
+        left, left_offers = _layer(p.left, terms)
+        right, right_offers = (_ND if left is NodeKind.ND_UNSTABLE
+                               else _layer(p.right, terms))
+        if left is NodeKind.ND_UNSTABLE or right is NodeKind.ND_UNSTABLE:
+            out = _ND
+        elif kind is ProbChoice or left is not None or right is not None:
+            out = _PROB
+        else:
+            offers = left_offers + right_offers
+            if kind is Par and p.sync:
+                # A name in the sync set fires only if both sides offer it.
+                offers = tuple(n for n in offers if n not in p.sync
+                               or (n in left_offers and n in right_offers))
+            out = None, offers
+    memo[key] = out if seen is _ONCE else _ONCE
+    return out
 
 
 def classify(p: Process, env: DefinitionEnv) -> NodeKind:
@@ -135,7 +158,7 @@ def classify(p: Process, env: DefinitionEnv) -> NodeKind:
     the fixed dispatch order: nd-unstable, else prob-unstable, else
     terminated, else has timed moves, else deadlocked."""
     p = canonicalize(p, env)
-    layer, offers = _layer(p)
+    layer, offers = _layer(p, env._shared_terms())
     if layer is not None:
         return layer
     if type(p) is Nil:
@@ -154,10 +177,15 @@ def _nd(p: Process, terms: dict) -> list[tuple[str, Process]]:
         return [("L", p.left), ("R", p.right)]
     if kind is Prefix or kind is Nil:
         return []
+    memo, key = terms[_ND_MEMO], id(p)
+    seen = memo.get(key, _NEW)
+    if seen is not _NEW and seen is not _ONCE:
+        return seen
     left, right = p.left, p.right
     out = [("L." + k, rebuild(terms, p, s, right)) for k, s in _nd(left, terms)]
     if kind is not Seq:
         out += [("R." + k, rebuild(terms, p, left, s)) for k, s in _nd(right, terms)]
+    memo[key] = out if seen is _ONCE else _ONCE
     return out
 
 
@@ -190,30 +218,33 @@ def _presolve(p: Process, terms: dict) -> list[tuple[float, Process]] | None:
     kind = type(p)
     if kind is Prefix or kind is Nil:
         return None
+    memo, key = terms[_PROB_MEMO], id(p)
+    seen = memo.get(key, _NEW)
+    if seen is not _NEW and seen is not _ONCE:
+        return seen
     if kind is ProbChoice:
-        out: list[tuple[float, Process]] = []
+        out: list[tuple[float, Process]] | None = []
         for w, branch in ((p.prob, p.left), (1.0 - p.prob, p.right)):
             sub = _presolve(branch, terms)
             out.extend([(w, branch)] if sub is None else
                        [(w * ws, s) for ws, s in sub])
-        return out
-    if kind is Seq:
+    elif kind is Seq:
         left = _presolve(p.left, terms)
-        if left is None:
-            return None
-        return [(w, rebuild(terms, p, s, p.right)) for w, s in left]
-    if kind is IntChoice:
+        out = None if left is None else [
+            (w, rebuild(terms, p, s, p.right)) for w, s in left]
+    elif kind is IntChoice:
         raise ValueError("probabilistic stability is only defined for "
                          "deterministically stable processes")
-    left = _presolve(p.left, terms)
-    right = _presolve(p.right, terms)
-    if left is None and right is None:
-        return None
-    return [
-        (wl * wr, rebuild(terms, p, sl, sr))
-        for wl, sl in ([(1.0, p.left)] if left is None else left)
-        for wr, sr in ([(1.0, p.right)] if right is None else right)
-    ]
+    else:
+        left = _presolve(p.left, terms)
+        right = _presolve(p.right, terms)
+        out = None if left is None and right is None else [
+            (wl * wr, rebuild(terms, p, sl, sr))
+            for wl, sl in ([(1.0, p.left)] if left is None else left)
+            for wr, sr in ([(1.0, p.right)] if right is None else right)
+        ]
+    memo[key] = out if seen is _ONCE else _ONCE
+    return out
 
 
 def prob_successors(
@@ -246,24 +277,30 @@ def _act(p: Process, terms: dict) -> list[tuple[Action, Process]]:
         return [(Action(p.action, p.rate), p.continuation)]
     if kind is Nil:
         return []
+    memo, key = terms[_ACT_MEMO], id(p)
+    seen = memo.get(key, _NEW)
+    if seen is not _NEW and seen is not _ONCE:
+        return seen
     if kind is ExtChoice:
-        return _act(p.left, terms) + _act(p.right, terms)
-    if kind is Seq:
-        return [(lbl, rebuild(terms, p, s, p.right)) for lbl, s in _act(p.left, terms)]
-    if kind is not Par:
+        out = _act(p.left, terms) + _act(p.right, terms)
+    elif kind is Seq:
+        out = [(lbl, rebuild(terms, p, s, p.right)) for lbl, s in _act(p.left, terms)]
+    elif kind is not Par:
         raise ValueError(f"action_successors requires a stable process, got {p}")
-    pmoves = _act(p.left, terms)
-    qmoves = _act(p.right, terms)
-    sync, left, right = p.sync, p.left, p.right
-    out = [(a, rebuild(terms, p, s, right))
-           for a, s in pmoves if a.name not in sync]
-    out += [(a, rebuild(terms, p, left, s))
-            for a, s in qmoves if a.name not in sync]
-    out += [
-        (Action(pl.name, min(pl.rate, ql.rate)), rebuild(terms, p, ps_, qs))
-        for pl, ps_ in pmoves if pl.name in sync
-        for ql, qs in qmoves if ql.name == pl.name
-    ]
+    else:
+        pmoves = _act(p.left, terms)
+        qmoves = _act(p.right, terms)
+        sync, left, right = p.sync, p.left, p.right
+        out = [(a, rebuild(terms, p, s, right))
+               for a, s in pmoves if a.name not in sync]
+        out += [(a, rebuild(terms, p, left, s))
+                for a, s in qmoves if a.name not in sync]
+        out += [
+            (Action(pl.name, min(pl.rate, ql.rate)), rebuild(terms, p, ps_, qs))
+            for pl, ps_ in pmoves if pl.name in sync
+            for ql, qs in qmoves if ql.name == pl.name
+        ]
+    memo[key] = out if seen is _ONCE else _ONCE
     return out
 
 

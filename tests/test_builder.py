@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 import rosa_lts.builder
+import rosa_lts.semantics
 
 from rosa_lts import (
     INF,
@@ -17,11 +18,13 @@ from rosa_lts import (
     DefinitionEnv,
     ExtChoice,
     IntChoice,
+    Nil,
     NodeKind,
     Par,
     Prefix,
     Prob,
     ProbChoice,
+    Process,
     UnboundVariable,
     Var,
     build_lts,
@@ -265,13 +268,15 @@ def test_a_state_reached_twice_is_one_object(monkeypatch):
         assert all(q is found[0] for q in found)
 
 
+# Three components: 4**3 + 2*3*4**2 + 1 = 161 states, and one unfold of
+# a component variable for nearly every successor.
+INTERLEAVE_3 = "".join(
+    f"P{i} = <a{i},1>.(<b{i},2>.P{i} - <c{i},0.5>.P{i}) *{{0.5}} <d{i},1>.P{i}\n"
+    for i in (1, 2, 3)
+) + "main = P1 ||{} P2 ||{} P3\n"
+
+
 def test_a_build_unfolds_each_definition_once(monkeypatch):
-    # Three components: 4**3 + 2*3*4**2 + 1 = 161 states, and one unfold
-    # of a component variable for nearly every successor.
-    source = "".join(
-        f"P{i} = <a{i},1>.(<b{i},2>.P{i} - <c{i},0.5>.P{i}) *{{0.5}} <d{i},1>.P{i}\n"
-        for i in (1, 2, 3)
-    ) + "main = P1 ||{} P2 ||{} P3\n"
     calls = Counter()
     lookup = DefinitionEnv.lookup
 
@@ -280,7 +285,7 @@ def test_a_build_unfolds_each_definition_once(monkeypatch):
         return lookup(env, name)
 
     monkeypatch.setattr(DefinitionEnv, "lookup", spy)
-    lts = build_lts(parse_program(source))
+    lts = build_lts(parse_program(INTERLEAVE_3))
     assert len(lts.nodes) == 161
     # Each body is read once to rewrite it and once to walk it, the
     # root's once. Reading it at every unfold makes 148 calls here.
@@ -288,7 +293,58 @@ def test_a_build_unfolds_each_definition_once(monkeypatch):
     assert max(calls.values()) <= 2
 
 
+# Each rule walk, and the kind of the states its entry point is called
+# on: `classify` walks every state.
+WALKS = {
+    "_layer": None,
+    "_nd": NodeKind.ND_UNSTABLE,
+    "_presolve": NodeKind.PROB_UNSTABLE,
+    "_act": NodeKind.ACTION_ENABLED,
+}
+
+
+def test_a_build_walks_below_each_shared_node_at_most_twice(monkeypatch):
+    # The spies replace the module's globals, so the walks' recursive
+    # calls are counted too.
+    args = {}
+    for name in WALKS:
+        def spy(p, *rest, walk=getattr(rosa_lts.semantics, name),
+                seen=args.setdefault(name, [])):
+            seen.append(p)
+            return walk(p, *rest)
+
+        monkeypatch.setattr(rosa_lts.semantics, name, spy)
+    lts = build_lts(parse_program(INTERLEAVE_3))
+    assert len(lts.nodes) == 161
+    kinds = Counter(n.kind for n in lts.nodes)
+    for name, kind in WALKS.items():
+        calls = len(args[name])
+        states = len(lts.nodes) if kind is None else kinds[kind]
+        met = Counter(id(p) for p in args[name]
+                      if type(p) not in (Prefix, Nil, IntChoice))
+        # A node walks its operands the first and the second time it is
+        # met, and answers from the build's memo after that. Without the
+        # memo, some nodes of this model are met 17 times.
+        walked = sum(min(n, 2) for n in met.values())
+        assert max(met.values()) > 2, name
+        assert calls <= states + 2 * walked, (name, calls, walked)
+
+
+def _live_nodes() -> int:
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if isinstance(o, Process))
+
+
 def test_a_build_keeps_no_node_once_it_returns():
+    # Once its result is dropped, every node the build made is freed:
+    # no table, and no memo of successor lists, outlives the build. The
+    # three components share subterms that the walks meet many times.
+    env = parse_program(INTERLEAVE_3)
+    before = _live_nodes()
+    held = build_lts(env)
+    assert _live_nodes() > before
+    del held
+    assert _live_nodes() == before
     env = parse_program(INTERLEAVE_2)
     one = build_lts(env)
     assert env._terms is None

@@ -153,11 +153,21 @@ def test_root_override_must_exist(sample_file, capsys):
     assert "GHOST" in capsys.readouterr().err
 
 
+def test_an_undefined_root_lists_the_definitions_in_order(tmp_path, capsys):
+    path = tmp_path / "three.rosa"
+    path.write_text("Q = a.P\nP = b.Q\nmain = P\n", encoding="utf-8")
+    assert main([str(path), "--root", "R"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: undefined process variable 'R'; defined: P, Q, main\n")
+
+
 def test_check_looks_up_the_root_override(sample_file, capsys):
     assert main([sample_file, "--check", "--root", "GHOST"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: undefined process variable 'GHOST'\n"
+    assert captured.err == "error: undefined process variable 'GHOST'; defined: main\n"
     assert main([sample_file, "--check", "--root", "main"]) == 0
     assert capsys.readouterr().err == ""
 

@@ -9,6 +9,9 @@ Unlike the closed terms of the acceptance tests, these programs unfold
 variables at the root, under ``;`` and as parallel operands, and keep
 them folded under every prefix.
 
+The reference law checks every node of a build against
+`reference_semantics`, which keeps no memo and shares no node.
+
 The exit-code law runs through the command line on looser programs,
 whose bare variables may also sit where they are unfolded, so that
 some of them recurse unguarded.
@@ -27,6 +30,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_semantics as ref
 from bisim import bisimilar, raw_key_lts
 from test_cli import UNGUARDED
 from rosa_lts import (
@@ -34,12 +38,14 @@ from rosa_lts import (
     DefinitionEnv,
     ExtChoice,
     IntChoice,
+    NodeKind,
     Par,
     Prefix,
     Prob,
     ProbChoice,
     Seq,
     build_lts,
+    canonical_key,
     parse_program,
     to_dot,
     to_json,
@@ -206,6 +212,41 @@ def test_a_truncated_build_is_a_prefix_of_the_full_build(lines, k):
     for e in cut.edges:
         assert isinstance(e.label, Prob) or e in full_edges
     assert cut.truncated == (len(full.nodes) > k)
+
+
+REFERENCE_FAMILIES = {
+    NodeKind.ND_UNSTABLE: ref.nd_successors,
+    NodeKind.PROB_UNSTABLE: ref.prob_successors,
+    NodeKind.ACTION_ENABLED: ref.action_successors,
+}
+
+
+@settings(PROPERTY, max_examples=60)
+@given(programs())
+def test_every_node_has_the_reference_kind_and_edges(lines):
+    env = parse_program(_source(lines))
+    lts = build_lts(env, CONFIG)
+    assert not lts.truncated
+    id_by_key = {node.key: node.id for node in lts.nodes}
+    edges = {node.id: [] for node in lts.nodes}
+    for e in lts.edges:
+        edges[e.source].append((e.label, e.target))
+    for node in lts.nodes:
+        fresh = DefinitionEnv(env.bindings, env.root)
+        assert ref.classify(node.process, fresh) == node.kind, (node.key, lines)
+        family = REFERENCE_FAMILIES.get(node.kind)
+        # Keyed and merged as the builder does: probabilistic mass into
+        # one edge per target, other labels one edge per (label, target).
+        merged: dict = {}
+        for label, s in family(node.process, fresh) if family else ():
+            target = id_by_key[canonical_key(s, fresh)]
+            if isinstance(label, Prob):
+                merged[target] = merged.get(target, 0.0) + label.p
+            else:
+                merged[label, target] = None
+        expected = ([(Prob(p), t) for t, p in merged.items()]
+                    if node.kind is NodeKind.PROB_UNSTABLE else list(merged))
+        assert edges[node.id] == expected, (node.key, lines)
 
 
 def _run(source: str, *flags: str) -> tuple[int, str]:
