@@ -92,7 +92,7 @@ def build_lts(env: DefinitionEnv, config: BuildConfig | None = None) -> Lts:
     # lives on a private copy of env and is dropped on the way out, so
     # nothing the build constructed outlives it except through the result.
     env = DefinitionEnv(env.bindings, env.root)
-    _set(env, "_terms", env._shared_terms())
+    _set(env, "_terms", {})
     try:
         return _explore(env, check(env), max_states)
     finally:

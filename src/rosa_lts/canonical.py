@@ -74,7 +74,7 @@ def check(env: DefinitionEnv) -> Process:
     an operand that S5 drops, and return the canonical root state."""
     terms = env._shared_terms()
     stack = [env.root_process()]
-    root = canonicalize(stack[0], env)
+    root = _canon(stack[0], env, terms, False)
     seen = set()
     while stack:
         p = stack.pop()

@@ -3,9 +3,9 @@ system, write one of the three output formats.
 
 Exit codes: 0 success (truncated builds included, with a warning on
 stderr); 1 file read/write errors; 2 parse or validation errors, and
-input or states nested deeper than the recursive walkers can follow;
-3 unbound variables or unguarded recursion. Diagnostics go to stderr
-only, so the selected format is the only thing on stdout.
+states nested deeper than the recursive walkers can follow; 3 unbound
+variables or unguarded recursion. Diagnostics go to stderr only, so the
+selected format is the only thing on stdout.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from .export import NODE_LABELS, ExportOptions, to_dot, to_json, to_text
 from .parser import parse_program
 from .process import DefinitionEnv
 
-# For terms nested deeper than the interpreter's recursion limit allows:
-# the parser recurses once per parenthesis level of the input, the
-# canonicalizer once per tree level of a state, which a model that grows
-# with each step can reach from a shallow input.
-_INPUT_TOO_DEEP = "error: input nested too deeply"
+# For a state nested deeper than the recursion limit allows: the
+# canonicalizer recurses once per tree level, which a model that grows
+# with each step reaches from a shallow input. Parsing has no limit.
 _STATE_TOO_DEEP = "error: a state is nested too deeply to build"
 
 
@@ -54,8 +52,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Exit codes: 0 success (also truncated builds, which warn on "
-            "stderr); 1 read/write error; 2 parse/validation error, or input "
-            "or a state nested too deeply; 3 unbound variable or unguarded "
+            "stderr); 1 read/write error; 2 parse/validation error, or a "
+            "state nested too deeply; 3 unbound variable or unguarded "
             "recursion."
         ),
     )
@@ -117,9 +115,6 @@ def run(args: argparse.Namespace) -> int:
         env = parse_program(source)
     except (ParseError, ValidationError, DuplicateDefinition) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print(_INPUT_TOO_DEEP, file=sys.stderr)
         return 2
 
     if args.root is not None:

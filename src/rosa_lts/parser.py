@@ -1,11 +1,12 @@
-"""Lexer and recursive-descent parser for the ASCII process syntax.
+"""Lexer and operator-precedence parser for the ASCII process syntax.
 
 Binding tightness, tightest first: prefix ``.``, then the three choices
 (``-``, ``+``, ``*{r}``, one shared level, left-associative), then
 ``||{A}`` (left-associative), then ``;`` (right-associative).
-Parentheses override. A bare identifier is a process variable when
-it names a definition of the program, else an action constant (``a``
-meaning ``a.0``); a lone expression takes every one as a variable.
+Parentheses override, and nest to any depth. A bare identifier is a
+process variable when it names a definition of the program, else an
+action constant (``a`` meaning ``a.0``); a lone expression takes every
+one as a variable.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ _TOKEN_RE = re.compile(
 
 # Tokens as four parallel lists: their kinds, lexemes, lines and columns.
 _Scan = tuple[list[str], list[str], list[int], list[int]]
+
+# Each binary operator's binding level, loosest first, constructor and
+# fields before the operands; `_Parser.parse_operator` reads the fields
+# of "||" and "*".
+_OPERATORS = {";": (0, Seq, ()), "||": (1, Par, ()), "-": (2, IntChoice, ()),
+              "+": (2, ExtChoice, ()), "*": (2, ProbChoice, ())}
 
 
 def _scan(source: str, first_line: int) -> _Scan:
@@ -97,9 +104,10 @@ class _Parser:
     head   := IDENT | "<" IDENT "," (number | "inf") ">"
     atom   := head | "0" | "(" seq ")"
 
-    Every rule but the parenthesized atom is a loop. A rated head as the
-    atom is ``<a,r>.0``; an IDENT as the atom is a variable if it is in
-    ``defined``, else the action constant ``a.0``.
+    One loop reads them all, with open parentheses on an explicit stack
+    (see `parse_full_process`). A rated head as the atom is ``<a,r>.0``;
+    an IDENT as the atom is a variable if it is in ``defined``, else the
+    action constant ``a.0``.
     """
 
     def __init__(self, scan: _Scan, start: int = 0, defined: dict | None = None):
@@ -139,81 +147,57 @@ class _Parser:
         self.pos = pos + 1
         return self.lexemes[pos]
 
-    # entry point ------------------------------------------------------
-
     def parse_full_process(self) -> Process:
-        p = self.parse_seq()
-        if self.kinds[self.pos] != EOF:
-            raise self.fail("an operator or end of input")
-        return p
-
-    # one method per precedence level ----------------------------------
-
-    def parse_seq(self) -> Process:
-        operands = [self.parse_par()]
-        while self.kinds[self.pos] == ";":
-            self.pos += 1
-            operands.append(self.parse_par())
-        p = operands.pop()
-        while operands:
-            p = Seq(operands.pop(), p)
-        return p
-
-    def parse_par(self) -> Process:
-        left = self.parse_choice()
-        kinds = self.kinds
-        while kinds[self.pos] == "||":
-            self.pos += 1
-            self.expect("{", "'{' after '||'")
-            names: list[str] = []
-            if kinds[self.pos] == IDENT:
-                names.append(self.expect(IDENT, "an action name"))
-                while kinds[self.pos] == ",":
-                    self.pos += 1
-                    names.append(self.expect(IDENT, "an action name"))
-            self.expect("}", "'}' closing the synchronization set")
-            left = Par(frozenset(names), left, self.parse_choice())
-        return left
-
-    def parse_choice(self) -> Process:
-        left = self.parse_prefix()
-        kinds = self.kinds
+        # The operators waiting for their right operand, as in
+        # `_OPERATORS`, with their left operands on a list of their own;
+        # an open parenthesis waits among them as ``(-1, heads before it)``.
+        operands, operators = [], []
         while True:
-            kind = kinds[self.pos]
-            if kind == "-":
-                self.pos += 1
-                left = IntChoice(left, self.parse_prefix())
-            elif kind == "+":
-                self.pos += 1
-                left = ExtChoice(left, self.parse_prefix())
-            elif kind == "*":
-                self.pos += 1
-                self.expect("{", "'{' after '*'")
-                prob = self.parse_probability()
-                self.expect("}", "'}' after the probability")
-                left = ProbChoice(prob, left, self.parse_prefix())
-            else:
-                return left
+            heads: list[tuple[str, float]] = []
+            p = self.parse_operand(heads)
+            if p is None:
+                operators.append((-1, heads))
+                continue
+            while True:
+                for action, rate in reversed(heads):
+                    p = Prefix(action, rate, p)
+                op = self.parse_operator()
+                # An operator applies the waiting ones that bind at least
+                # as tightly (";" only the tighter ones: it folds right);
+                # the end of a group applies all of the group's.
+                level = 0 if op is None else op[0] or 1
+                while operators and operators[-1][0] >= level:
+                    _, node, fields = operators.pop()
+                    p = node(*fields, operands.pop(), p)
+                if op is not None:
+                    operands.append(p)
+                    operators.append(op)
+                    break
+                if not operators:
+                    if self.kinds[self.pos] != EOF:
+                        raise self.fail("an operator or end of input")
+                    return p
+                self.expect(")", "')'")
+                heads = operators.pop()[1]
 
-    def parse_prefix(self) -> Process:
+    def parse_operand(self, heads: list[tuple[str, float]]) -> Process | None:
+        """Read the prefix heads into ``heads``, then the atom: return
+        it, or None for an opening parenthesis."""
         kinds = self.kinds
-        lexemes = self.lexemes
-        heads: list[tuple[str, float]] = []
         while True:
             pos = self.pos
             kind = kinds[pos]
             if kind == IDENT:
-                name = lexemes[pos]
+                name = self.lexemes[pos]
                 if kinds[pos + 1] == ".":
                     heads.append((name, INF))
                     self.pos = pos + 2
                     continue
                 self.pos = pos + 1
                 if self.defined is None or name in self.defined:
-                    p: Process = Var(name)
-                else:
-                    p = Prefix(name, INF, NIL)
-            elif kind == "<":
+                    return Var(name)
+                return Prefix(name, INF, NIL)
+            if kind == "<":
                 self.pos = pos + 1
                 action = self.expect(IDENT, "an action name")
                 self.expect(",", "',' between action and rate")
@@ -223,19 +207,37 @@ class _Parser:
                 if kinds[self.pos] == ".":
                     self.pos += 1
                     continue
-                p = NIL
-            elif kind == "0":
-                self.pos = pos + 1
-                p = NIL
-            elif kind == "(":
-                self.pos = pos + 1
-                p = self.parse_seq()
-                self.expect(")", "')'")
-            else:
+                return NIL
+            if kind != "0" and kind != "(":
                 raise self.fail("a process")
-            for action, rate in reversed(heads):
-                p = Prefix(action, rate, p)
-            return p
+            self.pos = pos + 1
+            return NIL if kind == "0" else None
+
+    def parse_operator(self) -> tuple | None:
+        """The binary operator at the next token, as in `_OPERATORS`
+        with its fields read; None at any other token, left unread."""
+        kinds = self.kinds
+        op = _OPERATORS.get(kinds[self.pos])
+        if op is None:
+            return None
+        level, node, _ = op
+        self.pos += 1
+        if node is Par:
+            self.expect("{", "'{' after '||'")
+            names: list[str] = []
+            if kinds[self.pos] == IDENT:
+                names.append(self.expect(IDENT, "an action name"))
+                while kinds[self.pos] == ",":
+                    self.pos += 1
+                    names.append(self.expect(IDENT, "an action name"))
+            self.expect("}", "'}' closing the synchronization set")
+            return level, node, (frozenset(names),)
+        if node is ProbChoice:
+            self.expect("{", "'{' after '*'")
+            prob = self.parse_probability()
+            self.expect("}", "'}' after the probability")
+            return level, node, (prob,)
+        return op
 
     # literals ---------------------------------------------------------
 

@@ -288,15 +288,8 @@ class DefinitionEnv(_Record):
 
     def _shared_terms(self) -> dict:
         """The build's table of shared nodes, or a new one that lasts
-        for one call outside a build, with an empty memo per rule walk."""
-        if self._terms is None:
-            return {_LAYER_MEMO: {}, _ND_MEMO: {}, _PROB_MEMO: {}, _ACT_MEMO: {}}
-        return self._terms
-
-
-#: Keys of the rule walks' memos (see `semantics`): ints, which no
-#: definition name and no `rebuild` key equals.
-_LAYER_MEMO, _ND_MEMO, _PROB_MEMO, _ACT_MEMO = range(4)
+        for one call outside a build."""
+        return {} if self._terms is None else self._terms
 
 
 def rebuild(

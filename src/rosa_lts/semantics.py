@@ -51,10 +51,6 @@ from .process import (
     ProbChoice,
     Process,
     Seq,
-    _ACT_MEMO,
-    _LAYER_MEMO,
-    _ND_MEMO,
-    _PROB_MEMO,
     _Record,
     _set,
     rebuild,
@@ -111,13 +107,16 @@ class NodeKind(enum.Enum):
 
 # layer walk ----------------------------------------------------------
 
-# Memo entries (module docstring): no entry, and a node met once.
+# The walks' memo keys in the table, ints that no definition name and no
+# `rebuild` key equals; memo entries (module docstring): no entry, and a
+# node met once.
+_LAYER_MEMO, _ND_MEMO, _PROB_MEMO, _ACT_MEMO = range(4)
 _NEW, _ONCE = object(), object()
 _ND = (NodeKind.ND_UNSTABLE, ())
 _PROB = (NodeKind.PROB_UNSTABLE, ())
 
 
-def _layer(p: Process, terms: dict) -> tuple[NodeKind | None, tuple[str, ...]]:
+def _layer(p: Process, memo: dict) -> tuple[NodeKind | None, tuple[str, ...]]:
     """``(layer, offers)``: ND_UNSTABLE, PROB_UNSTABLE or None (stable),
     and the action names a stable ``p`` can fire. An nd left operand
     ends the walk: the right is not visited."""
@@ -128,16 +127,16 @@ def _layer(p: Process, terms: dict) -> tuple[NodeKind | None, tuple[str, ...]]:
         return None, ()
     if kind is IntChoice:
         return _ND
-    memo, key = terms[_LAYER_MEMO], id(p)
+    key = id(p)
     seen = memo.get(key, _NEW)
     if seen is not _NEW and seen is not _ONCE:
         return seen
     if kind is Seq:
-        out = _layer(p.left, terms)
+        out = _layer(p.left, memo)
     else:
-        left, left_offers = _layer(p.left, terms)
+        left, left_offers = _layer(p.left, memo)
         right, right_offers = (_ND if left is NodeKind.ND_UNSTABLE
-                               else _layer(p.right, terms))
+                               else _layer(p.right, memo))
         if left is NodeKind.ND_UNSTABLE or right is NodeKind.ND_UNSTABLE:
             out = _ND
         elif kind is ProbChoice or left is not None or right is not None:
@@ -158,7 +157,7 @@ def classify(p: Process, env: DefinitionEnv) -> NodeKind:
     the fixed dispatch order: nd-unstable, else prob-unstable, else
     terminated, else has timed moves, else deadlocked."""
     p = canonicalize(p, env)
-    layer, offers = _layer(p, env._shared_terms())
+    layer, offers = _layer(p, env._shared_terms().setdefault(_LAYER_MEMO, {}))
     if layer is not None:
         return layer
     if type(p) is Nil:
@@ -169,7 +168,7 @@ def classify(p: Process, env: DefinitionEnv) -> NodeKind:
 # non-deterministic rules ---------------------------------------------
 
 
-def _nd(p: Process, terms: dict) -> list[tuple[str, Process]]:
+def _nd(p: Process, terms: dict, memo: dict) -> list[tuple[str, Process]]:
     """``(path, successor)`` per unguarded internal choice; empty for a
     deterministically stable ``p``."""
     kind = type(p)
@@ -177,14 +176,16 @@ def _nd(p: Process, terms: dict) -> list[tuple[str, Process]]:
         return [("L", p.left), ("R", p.right)]
     if kind is Prefix or kind is Nil:
         return []
-    memo, key = terms[_ND_MEMO], id(p)
+    key = id(p)
     seen = memo.get(key, _NEW)
     if seen is not _NEW and seen is not _ONCE:
         return seen
     left, right = p.left, p.right
-    out = [("L." + k, rebuild(terms, p, s, right)) for k, s in _nd(left, terms)]
+    out = [("L." + k, rebuild(terms, p, s, right))
+           for k, s in _nd(left, terms, memo)]
     if kind is not Seq:
-        out += [("R." + k, rebuild(terms, p, left, s)) for k, s in _nd(right, terms)]
+        out += [("R." + k, rebuild(terms, p, left, s))
+                for k, s in _nd(right, terms, memo)]
     memo[key] = out if seen is _ONCE else _ONCE
     return out
 
@@ -202,7 +203,8 @@ def nd_successors(
     deterministically stable ``p``.
     """
     p = canonicalize(p, env)
-    out = _nd(p, env._shared_terms())
+    terms = env._shared_terms()
+    out = _nd(p, terms, terms.setdefault(_ND_MEMO, {}))
     if not out:
         raise ValueError("nd_successors requires a deterministically "
                          f"unstable process, got {p}")
@@ -212,32 +214,34 @@ def nd_successors(
 # probabilistic rules -------------------------------------------------
 
 
-def _presolve(p: Process, terms: dict) -> list[tuple[float, Process]] | None:
+def _presolve(
+    p: Process, terms: dict, memo: dict
+) -> list[tuple[float, Process]] | None:
     """``(weight, successor)`` per resolution of the unguarded prob
     choices; None if there is none, and the caller keeps ``p`` as is."""
     kind = type(p)
     if kind is Prefix or kind is Nil:
         return None
-    memo, key = terms[_PROB_MEMO], id(p)
+    key = id(p)
     seen = memo.get(key, _NEW)
     if seen is not _NEW and seen is not _ONCE:
         return seen
     if kind is ProbChoice:
         out: list[tuple[float, Process]] | None = []
         for w, branch in ((p.prob, p.left), (1.0 - p.prob, p.right)):
-            sub = _presolve(branch, terms)
+            sub = _presolve(branch, terms, memo)
             out.extend([(w, branch)] if sub is None else
                        [(w * ws, s) for ws, s in sub])
     elif kind is Seq:
-        left = _presolve(p.left, terms)
+        left = _presolve(p.left, terms, memo)
         out = None if left is None else [
             (w, rebuild(terms, p, s, p.right)) for w, s in left]
     elif kind is IntChoice:
         raise ValueError("probabilistic stability is only defined for "
                          "deterministically stable processes")
     else:
-        left = _presolve(p.left, terms)
-        right = _presolve(p.right, terms)
+        left = _presolve(p.left, terms, memo)
+        right = _presolve(p.right, terms, memo)
         out = None if left is None and right is None else [
             (wl * wr, rebuild(terms, p, sl, sr))
             for wl, sl in ([(1.0, p.left)] if left is None else left)
@@ -259,7 +263,8 @@ def prob_successors(
     PROB_TOLERANCE.
     """
     p = canonicalize(p, env)
-    out = _presolve(p, env._shared_terms())
+    terms = env._shared_terms()
+    out = _presolve(p, terms, terms.setdefault(_PROB_MEMO, {}))
     if out is None:
         raise ValueError("prob_successors requires a probabilistically "
                          f"unstable process, got {p}")
@@ -271,25 +276,26 @@ def prob_successors(
 # action rules --------------------------------------------------------
 
 
-def _act(p: Process, terms: dict) -> list[tuple[Action, Process]]:
+def _act(p: Process, terms: dict, memo: dict) -> list[tuple[Action, Process]]:
     kind = type(p)
     if kind is Prefix:
         return [(Action(p.action, p.rate), p.continuation)]
     if kind is Nil:
         return []
-    memo, key = terms[_ACT_MEMO], id(p)
+    key = id(p)
     seen = memo.get(key, _NEW)
     if seen is not _NEW and seen is not _ONCE:
         return seen
     if kind is ExtChoice:
-        out = _act(p.left, terms) + _act(p.right, terms)
+        out = _act(p.left, terms, memo) + _act(p.right, terms, memo)
     elif kind is Seq:
-        out = [(lbl, rebuild(terms, p, s, p.right)) for lbl, s in _act(p.left, terms)]
+        out = [(lbl, rebuild(terms, p, s, p.right))
+               for lbl, s in _act(p.left, terms, memo)]
     elif kind is not Par:
         raise ValueError(f"action_successors requires a stable process, got {p}")
     else:
-        pmoves = _act(p.left, terms)
-        qmoves = _act(p.right, terms)
+        pmoves = _act(p.left, terms, memo)
+        qmoves = _act(p.right, terms, memo)
         sync, left, right = p.sync, p.left, p.right
         out = [(a, rebuild(terms, p, s, right))
                for a, s in pmoves if a.name not in sync]
@@ -318,4 +324,5 @@ def action_successors(
     to right, and for parallel first left interleavings, then right,
     then joint moves. The empty result is a deadlock.
     """
-    return _act(canonicalize(p, env), env._shared_terms())
+    terms = env._shared_terms()
+    return _act(canonicalize(p, env), terms, terms.setdefault(_ACT_MEMO, {}))

@@ -34,6 +34,8 @@ from rosa_lts import (
     stats,
     to_text,
 )
+from rosa_lts.canonical import check
+
 from bisim import raw_key_lts
 from gen import for_process, gen_process
 
@@ -276,7 +278,7 @@ INTERLEAVE_3 = "".join(
 ) + "main = P1 ||{} P2 ||{} P3\n"
 
 
-def test_a_build_unfolds_each_definition_once(monkeypatch):
+def count_lookups(monkeypatch) -> Counter:
     calls = Counter()
     lookup = DefinitionEnv.lookup
 
@@ -285,10 +287,24 @@ def test_a_build_unfolds_each_definition_once(monkeypatch):
         return lookup(env, name)
 
     monkeypatch.setattr(DefinitionEnv, "lookup", spy)
+    return calls
+
+
+def test_a_build_unfolds_each_definition_once(monkeypatch):
+    calls = count_lookups(monkeypatch)
     lts = build_lts(parse_program(INTERLEAVE_3))
     assert len(lts.nodes) == 161
     # Each body is read once to rewrite it and once to walk it, the
     # root's once. Reading it at every unfold makes 148 calls here.
+    assert set(calls) == {"P1", "P2", "P3", "main"}
+    assert max(calls.values()) <= 2
+
+
+def test_check_reads_each_definition_at_most_twice(monkeypatch):
+    # The root is canonicalized on the walk's own table, so its
+    # definitions are rewritten once; a second table made 3 reads each.
+    calls = count_lookups(monkeypatch)
+    check(parse_program(INTERLEAVE_3))
     assert set(calls) == {"P1", "P2", "P3", "main"}
     assert max(calls.values()) <= 2
 

@@ -227,12 +227,15 @@ def test_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-INPUT_TOO_DEEP = "error: input nested too deeply\n"
 STATE_TOO_DEEP = "error: a state is nested too deeply to build\n"
 
 DEEP_INPUTS = {
-    # the parser recurses once per parenthesis level
-    "parentheses": ("(" * 300 + "0" + ")" * 300 + "\n", INPUT_TOO_DEEP),
+    # parses with a stack of open parentheses; the build's recursion
+    # gives out on the 2,000-level choice
+    "parenthesized_choice": (
+        "".join(f"a{i % 5} + (" for i in range(2000)) + "0" + ")" * 2000 + "\n",
+        STATE_TOO_DEEP,
+    ),
     # parses in a loop; the build's recursion gives out
     "prefix_chain": (
         ".".join(f"a{i % 5}" for i in range(3000)) + ".0\n",
@@ -266,6 +269,20 @@ def test_check_gives_the_build_answer_on_a_3000_prefix_chain(tmp_path, capsys):
     path.write_text(source, encoding="utf-8")
     assert main([str(path), "--check"]) == 2
     assert capsys.readouterr().err == message
+
+
+def test_10000_nested_parentheses_build():
+    # Run as its own process, as below, so that the depth is the
+    # command's own.
+    source = "(" * 10_000 + "a.0" + ")" * 10_000 + "\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rosa_lts.cli", "-"],
+        input=source,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "nodes: 2\nedges: 1\n" in proc.stdout
 
 
 def test_900_action_chain_still_builds(tmp_path):

@@ -324,6 +324,23 @@ def test_parse_program_takes_a_long_sequence():
     assert (n, last) == (DEEP - 1, NIL)
 
 
+def test_parentheses_nest_to_any_depth():
+    source = "(" * 10_000 + "a.0" + ")" * 10_000
+    assert parse_process_text(source) == Prefix("a", INF, NIL)
+    assert parse_program(source + "\n").lookup("main") == Prefix("a", INF, NIL)
+    with pytest.raises(ParseError, match="expected '\\)', found end of input"):
+        parse_process_text(source[:-1])
+
+
+def test_parse_program_takes_a_deeply_nested_choice():
+    levels = 10_000
+    source = "".join(f"a{i % 5} + b.(" for i in range(levels)) + "0" + ")" * levels
+    env = parse_program(source + "\n")
+    n, last = chain_length(env.lookup("main"), ExtChoice,
+                           lambda p: p.right.continuation)
+    assert (n, last) == (levels, NIL)
+
+
 def test_parse_program_closes_free_names_in_a_long_choice():
     operands = 10_000
     env = parse_program("+".join(f"a{i % 5}" for i in range(operands)) + "\n")

@@ -18,12 +18,15 @@ from rosa_lts import (
     Prefix,
     ProbChoice,
     Seq,
+    ValidationError,
     Var,
     parse_process_text,
     parse_program,
     pretty_print,
 )
 from rosa_lts.parser import IDENT, _Parser, _scan
+
+from reference_parser import ReferenceParser
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -92,6 +95,54 @@ def test_token_positions_point_at_their_lexemes(pieces):
     for lexeme, line, column in zip(lexemes, token_lines, columns):
         start = column - 1
         assert lines[line - 1][start : start + len(lexeme)] == lexeme
+
+
+# Operands with their heads and parentheses, and the binary operators:
+# joined in turn, with the parentheses closed, they make valid input.
+OPENS = ["", "", "(", "((", "a.(", "<b1,2>.("]
+OPERANDS = ["a", "b1", "_x", "0", "<a,1>", "a.b1", "a.b1.<_x,inf>.0"]
+CLOSES = ["", "", ")", "))"]
+OPERATORS = [";", "||{}", "||{a}", "||{a,b1}", "-", "+", "*{0.5}", "*{1}"]
+
+
+@st.composite
+def token_joins(draw):
+    """A join of lexable pieces, or a valid input with up to three
+    pieces spliced in: malformed input mostly, valid input often."""
+    if draw(st.integers(0, 3)) == 0:
+        return "".join(draw(st.lists(st.sampled_from(PIECES), max_size=30)))
+    parts, depth = [], 0
+    for i in range(draw(st.integers(1, 8))):
+        if i:
+            parts.append(draw(st.sampled_from(OPERATORS)))
+        opens, closes = draw(st.sampled_from(OPENS)), draw(st.sampled_from(CLOSES))
+        depth += opens.count("(")
+        closes = closes[:depth]
+        depth -= len(closes)
+        parts += opens, draw(st.sampled_from(OPERANDS)), closes
+    # One parenthesis may stay open.
+    source = "".join(parts) + ")" * draw(st.integers(max(depth - 1, 0), depth))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
+        at = draw(st.integers(0, len(source)))
+        source = source[:at] + draw(st.sampled_from(PIECES)) + source[at:]
+    return source
+
+
+def parsed(parser, source, defined):
+    try:
+        return parser(_scan(source, 1), 0, defined).parse_full_process()
+    except ParseError as err:  # LexError included
+        return type(err), err.line, err.column, err.expected, err.found
+    except ValidationError as err:
+        return type(err), err.line, err.column, str(err)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(token_joins(), st.sampled_from([None, {"a": None, "_x": None}]))
+def test_the_loop_parses_as_the_recursive_descent_reference(source, defined):
+    # The reference recurses four frames per parenthesis level, which
+    # the at most 30 "(" of a draw stay within.
+    assert parsed(_Parser, source, defined) == parsed(ReferenceParser, source, defined)
 
 
 DEFINED = ["P", "Q", "R", "main"]

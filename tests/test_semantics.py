@@ -321,3 +321,22 @@ def test_entry_points_answer_for_the_canonical_form():
     # The unfolding that canonicalizes the root finds the cycle.
     with pytest.raises(UnguardedRecursion):
         classify(Var("P"), parse_program("P = 0;P\nmain = a.0"))
+
+
+def test_a_call_outside_a_build_makes_the_one_memo_it_uses(monkeypatch):
+    # Each call gets a table of its own, which holds only the memo of
+    # the walk it runs.
+    tables = []
+    shared_terms = DefinitionEnv._shared_terms
+
+    def spy(env):
+        tables.append(shared_terms(env))
+        return tables[-1]
+
+    monkeypatch.setattr(DefinitionEnv, "_shared_terms", spy)
+    p = parse_process_text("<a,1>.0 ||{} <b,1>.0")
+    assert classify(p, EMPTY) == NodeKind.ACTION_ENABLED
+    assert len(action_successors(p, EMPTY)) == 2
+    assert len(tables) >= 2
+    for table in tables:
+        assert sum(type(key) is int for key in table) <= 1
