@@ -7,6 +7,9 @@ Parentheses override, and nest to any depth. A bare identifier is a
 process variable when it names a definition of the program, else an
 action constant (``a`` meaning ``a.0``); a lone expression takes every
 one as a variable.
+
+The lexer keeps tokens' kinds and lexemes; their positions are computed
+again from the text only for a diagnostic.
 """
 
 from __future__ import annotations
@@ -37,19 +40,22 @@ NUMBER = "NUMBER"
 EOF = "EOF"
 
 
-# `skip` and `newline` yield no token; `_scan` gives the others' kinds.
-# Digits and letters are ASCII only: other Unicode digits and letters
-# begin no token.
+# An identifier, a number, a comment (matched so that `findall`, which
+# searches, picks no token out of it), "||", or any other non-blank
+# character: an operator, or one that begins no token. Digits and
+# letters are ASCII only.
 _TOKEN_RE = re.compile(
-    r"(?P<skip>[ \t\r]+|#[^\n]*)"
-    r"|(?P<newline>\n)"
-    r"|(?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>\|\||[.;\-+*<>,{}()=])"
+    r"[A-Za-z_][A-Za-z0-9_]*"
+    r"|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+    r"|#[^\n]*"
+    r"|\|\||[^ \t\r\n]"
 )
 
-# Tokens as four parallel lists: their kinds, lexemes, lines and columns.
-_Scan = tuple[list[str], list[str], list[int], list[int]]
+# The lexemes that are their own kind, and the kinds of the others by
+# their first character; a character in neither begins no token.
+_OWN_KINDS = frozenset(".;-+*<>,{}()=") | {"||", "0", INF_KEYWORD}
+_STARTS = dict.fromkeys("0123456789", NUMBER) | dict.fromkeys(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", IDENT)
 
 # Each binary operator's binding level, loosest first, constructor and
 # fields before the operands; `_Parser.parse_operator` reads the fields
@@ -58,44 +64,46 @@ _OPERATORS = {";": (0, Seq, ()), "||": (1, Par, ()), "-": (2, IntChoice, ()),
               "+": (2, ExtChoice, ()), "*": (2, ProbChoice, ())}
 
 
-def _scan(source: str, first_line: int) -> _Scan:
-    """Split ``source`` into tokens.
+def _scan(source: str, first_line: int) -> tuple[list[str], list[str]]:
+    """Split ``source`` into tokens: their kinds and their lexemes.
 
     Whitespace separates tokens and is otherwise ignored; ``#`` starts a
     comment running to end of line. A token's kind is IDENT or NUMBER,
     or its lexeme for an operator (``||`` is one token), for the
     infinite-rate keyword ``inf`` and for a standalone ``0`` (``0.5``
-    stays a NUMBER). Positions are 1-based; ``first_line`` numbers the
-    first line, so a line scanned on its own keeps its place in the file.
+    stays a NUMBER). Positions are computed only for a diagnostic, by
+    `_positions`; ``first_line`` numbers the first line, so the
+    `LexError` of a line scanned on its own keeps its place in the file.
     """
-    kinds, lexemes, lines, columns = scan = ([], [], [], [])
-    match = _TOKEN_RE.match
-    line = first_line
-    line_start = pos = 0
-    n = len(source)
-    while pos < n:
-        m = match(source, pos)
-        if m is None:
-            raise LexError(line, pos - line_start + 1, source[pos])
-        end = m.end()
-        group = m.lastgroup
-        if group == "newline":
-            line += 1
-            line_start = end
-        elif group != "skip":
-            text = m.group()
-            if group == "op" or text == "0" or text == INF_KEYWORD:
-                group = text
-            kinds.append(group)
-            lexemes.append(text)
-            lines.append(line)
-            columns.append(pos - line_start + 1)
-        pos = end
-    return scan
+    lexemes = _TOKEN_RE.findall(source)
+    if "#" in source:
+        lexemes = [text for text in lexemes if text[0] != "#"]
+    try:
+        kinds = [text if text in _OWN_KINDS else _STARTS[text[0]]
+                 for text in lexemes]
+    except KeyError:
+        i = next(i for i, text in enumerate(lexemes)
+                 if text not in _OWN_KINDS and text[0] not in _STARTS)
+        raise LexError(*_positions(source, first_line)[i], lexemes[i]) from None
+    return kinds, lexemes
+
+
+def _positions(source: str, first_line: int) -> list[tuple[int, int]]:
+    """The 1-based line and column of each token `_scan` gives, with
+    the first line numbered ``first_line``."""
+    positions, line, line_start, seen = [], first_line, 0, 0
+    for m in _TOKEN_RE.finditer(source):
+        start = m.start()
+        if source[start] != "#":
+            line += source.count("\n", seen, start)
+            line_start = max(line_start, source.rfind("\n", seen, start) + 1)
+            seen = start
+            positions.append((line, start - line_start + 1))
+    return positions
 
 
 class _Parser:
-    """One pass over the token lists of a scan; grammar, loosest rule first:
+    """One pass over the tokens of a scan; grammar, loosest rule first:
 
     seq    := par { ";" par }                    folded to the right
     par    := choice { "||" "{" [idlist] "}" choice }
@@ -110,34 +118,39 @@ class _Parser:
     action constant ``a.0``.
     """
 
-    def __init__(self, scan: _Scan, start: int = 0, defined: dict | None = None):
-        """Parse the token lists of ``scan`` from index ``start`` on.
-        ``kinds`` gets the EOF sentinel appended. End of input is just
-        past the last token, or at 1:1 when there is none. With no
-        ``defined``, every bare IDENT is a variable."""
-        self.kinds, self.lexemes, self.lines, self.columns = scan
-        if self.kinds:
-            self.end = (self.lines[-1], self.columns[-1] + len(self.lexemes[-1]))
-        else:
-            self.end = (1, 1)
+    def __init__(self, source: str, first_line: int = 1, start: int = 0,
+                 defined: dict | None = None):
+        """Scan ``source``, whose first line is numbered ``first_line``,
+        and parse from token ``start`` on. ``kinds`` gets the EOF
+        sentinel appended. With no ``defined``, every bare IDENT is a
+        variable."""
+        self.kinds, self.lexemes = _scan(source, first_line)
         self.kinds.append(EOF)
+        self.source, self.first_line = source, first_line
         self.pos = start
         self.defined = defined
 
+    def position(self, index: int) -> tuple[int, int]:
+        """Where token ``index`` starts. At the EOF sentinel, where input
+        ends: just past the last token, or at 1:1 when there is none."""
+        lexemes = self.lexemes
+        if index < len(lexemes):
+            return _positions(self.source, self.first_line)[index]
+        if not lexemes:
+            return 1, 1
+        line, column = _positions(self.source, self.first_line)[-1]
+        return line, column + len(lexemes[-1])
+
     def fail(self, expected: str) -> ParseError:
         pos = self.pos
-        if self.kinds[pos] == EOF:
-            return ParseError(*self.end, expected, "end of input")
-        return ParseError(
-            self.lines[pos], self.columns[pos], expected, repr(self.lexemes[pos])
-        )
+        found = "end of input" if self.kinds[pos] == EOF else repr(self.lexemes[pos])
+        return ParseError(*self.position(pos), expected, found)
 
     def invalid(self, message: str) -> ValidationError:
         """A ValidationError at the number just read."""
         pos = self.pos - 1
-        return ValidationError(
-            self.lines[pos], self.columns[pos], f"{message}, got {self.lexemes[pos]}"
-        )
+        found = self.lexemes[pos]
+        return ValidationError(*self.position(pos), f"{message}, got {found}")
 
     def expect(self, kind: str, expected: str) -> str:
         """The lexeme of the next token, which must be of ``kind``."""
@@ -270,7 +283,7 @@ class _Parser:
 
 def parse_process_text(source: str) -> Process:
     """Parse a single process expression."""
-    return _Parser(_scan(source, 1)).parse_full_process()
+    return _Parser(source).parse_full_process()
 
 
 def parse_program(source: str) -> DefinitionEnv:
@@ -302,9 +315,9 @@ def parse_program(source: str) -> DefinitionEnv:
         raise ParseError(1, 1, "at least one process definition", "end of input")
     bindings = dict.fromkeys(head[2] for head in heads)
     for lineno, text, name, start in heads:
-        *_, columns = scan = _scan(text, lineno)
+        parser = _Parser(text, lineno, start, bindings)
         if bindings[name] is not None:
-            raise DuplicateDefinition(name, lineno, columns[0])
-        bindings[name] = _Parser(scan, start, bindings).parse_full_process()
+            raise DuplicateDefinition(name, *parser.position(0))
+        bindings[name] = parser.parse_full_process()
     root = MAIN_NAME if MAIN_NAME in bindings else next(reversed(bindings))
     return DefinitionEnv(bindings=bindings, root=root)

@@ -10,8 +10,10 @@ of a synchronization.
 
 Nodes are instances of hand-written classes on one small base,
 `_Record`, which also serves the labels and the LTS records. They are
-frozen and slotted, so callers cannot attach attributes to them, and
-each constructor checks its own fields. Each node's printed form is
+frozen and slotted, so callers cannot attach attributes to them. Each
+constructor checks its own fields and sets its slots itself, and each
+class compares and hashes its fields through one getter made for it
+when the class is created. Each node's printed form is
 computed once, from its children's printed forms, and cached on the
 node; printing a tree again, or a new tree built around already printed
 subtrees, renders only the new nodes.
@@ -32,6 +34,7 @@ and equal subterms parsed separately remain distinct objects.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from .errors import UnboundVariable
 
 #: Reserved spelling of the infinite rate; never a valid action or
@@ -96,24 +99,29 @@ def _sync_set(value: object) -> frozenset[str]:
 class _Record:
     """Shared base of the package's records: equality within one class,
     hashing, ``repr`` and pickling over the fields ``__match_args__``
-    names, in constructor order. Unpickling and copying go through the
-    checking constructor. A record is frozen, unless it restores
+    names, in constructor order, read by a getter bound once per class;
+    each constructor sets its slots itself. Unpickling and copying go
+    through the checking constructor. A record is frozen, unless it restores
     ``object``'s ``__setattr__`` and ``__delattr__`` and drops the hash.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        # ``_fields(record)``: one field's value, several as a tuple, or ().
+        super().__init_subclass__(**kwargs)
+        names = cls.__match_args__
+        cls._fields = attrgetter(*names) if names else staticmethod(lambda r: ())
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            fields = self._fields
+            return fields(self) == fields(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -127,19 +135,10 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return type(self), self._values()
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
 
 _set = object.__setattr__
-
-
-def _fill(node: _Term, *fields: object) -> None:
-    """Set ``fields`` on ``node`` in ``__match_args__`` order and empty
-    its caches; each node constructor calls it once its checks pass."""
-    for name, value in zip(node.__match_args__, fields):
-        _set(node, name, value)
-    _set(node, "_key", None)
-    _set(node, "_canonical", False)
 
 
 class _Term(_Record):
@@ -149,8 +148,8 @@ class _Term(_Record):
     equality, hashing or ``repr``: ``_key`` holds the node's printed
     form once `pretty_print` has computed it, and ``_canonical`` marks
     a node that `canonicalize` returned, so that later canonicalizations
-    can hand it back untouched. Both are written only by those two
-    functions.
+    can hand it back untouched. Each constructor empties both, once its
+    checks pass; they are then written only by those two functions.
     """
 
     __slots__ = ("_key", "_canonical")
@@ -165,7 +164,8 @@ class Nil(_Term):
     __slots__ = ()
 
     def __init__(self) -> None:
-        _fill(self)
+        _set(self, "_key", None)
+        _set(self, "_canonical", False)
 
 
 class Var(_Term):
@@ -175,7 +175,9 @@ class Var(_Term):
 
     def __init__(self, name: str) -> None:
         _check_name(name, "process variable name")
-        _fill(self, name)
+        _set(self, "name", name)
+        _set(self, "_key", None)
+        _set(self, "_canonical", False)
 
 
 class Prefix(_Term):
@@ -194,7 +196,11 @@ class Prefix(_Term):
         value = _number(rate, "rate")
         if not value > 0.0:
             raise ValueError(f"rate must be positive: {value!r}")
-        _fill(self, action, value, continuation)
+        _set(self, "action", action)
+        _set(self, "rate", value)
+        _set(self, "continuation", continuation)
+        _set(self, "_key", None)
+        _set(self, "_canonical", False)
 
 
 class _Binary(_Term):
@@ -204,7 +210,10 @@ class _Binary(_Term):
 
     def __init__(self, left: Process, right: Process) -> None:
         _check_operands(left, right)
-        _fill(self, left, right)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_key", None)
+        _set(self, "_canonical", False)
 
 
 class Seq(_Binary):
@@ -235,7 +244,11 @@ class ProbChoice(_Term):
         value = _number(prob, "probability")
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"probability outside [0,1]: {value!r}")
-        _fill(self, value, left, right)
+        _set(self, "prob", value)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_key", None)
+        _set(self, "_canonical", False)
 
 
 class Par(_Term):
@@ -246,7 +259,11 @@ class Par(_Term):
 
     def __init__(self, sync: frozenset[str], left: Process, right: Process) -> None:
         _check_operands(left, right)
-        _fill(self, _sync_set(sync), left, right)
+        _set(self, "sync", _sync_set(sync))
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_key", None)
+        _set(self, "_canonical", False)
 
 
 Process = Nil | Var | Prefix | Seq | IntChoice | ExtChoice | ProbChoice | Par

@@ -22,7 +22,7 @@ from rosa_lts import (
     parse_program,
     pretty_print,
 )
-from rosa_lts.parser import _scan
+from rosa_lts.parser import _positions, _scan
 from gen import gen_process
 
 
@@ -72,8 +72,7 @@ def test_tokenize_distinguishes_zero_from_numbers():
 
 
 def test_token_positions_are_one_based():
-    _, _, lines, columns = _scan("a\n  b", 1)
-    assert list(zip(lines, columns)) == [(1, 1), (2, 3)]
+    assert _positions("a\n  b", 1) == [(1, 1), (2, 3)]
 
 
 def test_lex_error_position():

@@ -24,8 +24,9 @@ from rosa_lts import (
     parse_program,
     pretty_print,
 )
-from rosa_lts.parser import IDENT, _Parser, _scan
+from rosa_lts.parser import IDENT, _Parser, _positions, _scan
 
+from reference_lexer import reference_scan
 from reference_parser import ReferenceParser
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -91,10 +92,54 @@ PIECES = [
 def test_token_positions_point_at_their_lexemes(pieces):
     source = "".join(pieces)
     lines = source.split("\n")
-    _, lexemes, token_lines, columns = _scan(source, 1)
-    for lexeme, line, column in zip(lexemes, token_lines, columns):
+    _, lexemes = _scan(source, 1)
+    for lexeme, (line, column) in zip(lexemes, _positions(source, 1)):
         start = column - 1
         assert lines[line - 1][start : start + len(lexeme)] == lexeme
+
+
+# Comments that hold what would lex as tokens, and characters that
+# begin no token: a lone "|", a form feed, a non-ASCII digit, a lone
+# surrogate and others.
+COMMENTS_WITH_TOKENS = ["# P = a.0", "#=", "# x # y", "#inf 0.5 ||"]
+FOREIGN = ["|", "\x0c", "\u00b2", "\ud800", "@", "\u00e9", "\x85", "\u0663"]
+LEXER_PIECES = PIECES + COMMENTS_WITH_TOKENS + FOREIGN + ["\r", "\r\n"]
+
+
+def scanned(scan, source, first_line):
+    """The four lists of a scan, or its LexError's position and char."""
+    try:
+        return scan(source, first_line)
+    except LexError as err:
+        return err.position, err.char
+
+
+def scan_with_positions(source, first_line):
+    kinds, lexemes = _scan(source, first_line)
+    positions = _positions(source, first_line)
+    return kinds, lexemes, [p[0] for p in positions], [p[1] for p in positions]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.lists(st.sampled_from(LEXER_PIECES), max_size=40), st.integers(1, 3))
+def test_the_scan_and_its_positions_are_the_reference_lexer(pieces, first_line):
+    source = "".join(pieces)
+    assert scanned(scan_with_positions, source, first_line) == scanned(
+        reference_scan, source, first_line
+    )
+
+
+class KeptPositionsParser(_Parser):
+    """`_Parser` reading positions from the lists of the reference
+    lexer, as it did when the scan kept them."""
+
+    def position(self, index):
+        _, lexemes, lines, columns = reference_scan(self.source, self.first_line)
+        if index < len(lexemes):
+            return lines[index], columns[index]
+        if not lexemes:
+            return 1, 1
+        return lines[-1], columns[-1] + len(lexemes[-1])
 
 
 # Operands with their heads and parentheses, and the binary operators:
@@ -130,7 +175,7 @@ def token_joins(draw):
 
 def parsed(parser, source, defined):
     try:
-        return parser(_scan(source, 1), 0, defined).parse_full_process()
+        return parser(source, 1, 0, defined).parse_full_process()
     except ParseError as err:  # LexError included
         return type(err), err.line, err.column, err.expected, err.found
     except ValidationError as err:
@@ -143,6 +188,18 @@ def test_the_loop_parses_as_the_recursive_descent_reference(source, defined):
     # The reference recurses four frames per parenthesis level, which
     # the at most 30 "(" of a draw stay within.
     assert parsed(_Parser, source, defined) == parsed(ReferenceParser, source, defined)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(token_joins(), st.lists(st.sampled_from(LEXER_PIECES), max_size=4), st.data())
+def test_diagnostics_on_many_lines_point_where_the_reference_lexer_did(
+    source, pieces, data
+):
+    # Multi-line text, as parse_process_text takes it.
+    for piece in pieces + ["\n"]:
+        at = data.draw(st.integers(0, len(source)))
+        source = source[:at] + piece + source[at:]
+    assert parsed(_Parser, source, None) == parsed(KeptPositionsParser, source, None)
 
 
 DEFINED = ["P", "Q", "R", "main"]
@@ -207,15 +264,15 @@ def two_pass_parse(source):
     and the names left undefined are closed into actions afterwards."""
     bindings = {}
     for lineno, text in enumerate(source.split("\n"), start=1):
-        kinds, lexemes, _, columns = scan = _scan(text, lineno)
+        kinds, lexemes = _scan(text, lineno)
         if not kinds:
             continue
         name, start = "main", 0
         if kinds[:2] == [IDENT, "="]:
             name, start = lexemes[0], 2
         if name in bindings:
-            raise DuplicateDefinition(name, lineno, columns[0])
-        bindings[name] = _Parser(scan, start).parse_full_process()
+            raise DuplicateDefinition(name, *_positions(text, lineno)[0])
+        bindings[name] = _Parser(text, lineno, start).parse_full_process()
     if not bindings:
         raise ParseError(1, 1, "at least one process definition", "end of input")
     root = "main" if "main" in bindings else list(bindings)[-1]

@@ -37,6 +37,7 @@ from rosa_lts import (
     parse_program,
     pretty_print,
 )
+from rosa_lts.process import _Record
 
 A = Prefix("a", INF, NIL)
 NODE = LtsNode(0, NIL, "0", NodeKind.SUCCESS)
@@ -204,6 +205,80 @@ def test_round_tripped_nodes_print_and_build():
         again = round_trip(env)
         assert pretty_print(again.bindings["P"]) == text
         assert build_lts(again) == build_lts(env)
+
+
+# the generic base ------------------------------------------------------------
+
+_set = object.__setattr__
+
+
+class NoField(_Record):
+    __slots__ = ()
+
+
+class OneField(_Record):
+    __slots__ = __match_args__ = ("x",)
+
+    def __init__(self, x):
+        _set(self, "x", x)
+
+
+class OtherOneField(OneField):
+    __slots__ = ()
+
+
+class ThreeFields(_Record):
+    # ``note`` is a slot but no field: equality, hashing, pickling and
+    # copying must ignore it.
+    __slots__ = ("x", "y", "z", "note")
+    __match_args__ = ("x", "y", "z")
+
+    def __init__(self, x, y, z, note=None):
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
+        _set(self, "note", note)
+
+
+class OtherThreeFields(ThreeFields):
+    __slots__ = ()
+
+
+BASE_CASES = [
+    (NoField, (), None),
+    (OneField, (1,), (2,)),
+    (ThreeFields, (1, "a", (NIL,)), (1, "a", (A,))),
+]
+
+
+@pytest.mark.parametrize("cls,values,other", BASE_CASES,
+                         ids=[case[0].__name__ for case in BASE_CASES])
+def test_the_base_compares_hashes_and_copies_exactly_the_fields(cls, values, other):
+    record = cls(*values)
+    assert record == cls(*values) and hash(record) == hash(cls(*values))
+    if other is not None:
+        assert record != cls(*other)
+        assert len({record, cls(*values), cls(*other)}) == 2
+    for round_trip in (lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy):
+        again = round_trip(record)
+        assert type(again) is cls and again == record
+        assert [getattr(again, name) for name in cls.__match_args__] == list(values)
+
+
+def test_a_slot_that_is_no_field_takes_no_part():
+    record = ThreeFields(1, 2, 3, note="kept out")
+    assert record == ThreeFields(1, 2, 3, note="other")
+    assert hash(record) == hash(ThreeFields(1, 2, 3))
+    assert pickle.loads(pickle.dumps(record)).note is None
+    assert copy.copy(record).note is None
+
+
+def test_records_of_two_classes_with_equal_fields_are_unequal():
+    for a, b in [(OneField(1), OtherOneField(1)),
+                 (ThreeFields(1, 2, 3), OtherThreeFields(1, 2, 3)),
+                 (NoField(), Nil())]:
+        assert a != b and b != a
+        assert a.__eq__(b) is NotImplemented
 
 
 # import path --------------------------------------------------------------
