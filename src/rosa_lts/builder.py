@@ -8,9 +8,11 @@ only fresh states are appended, so walking the list while it grows
 visits states breadth-first, which makes every build byte-deterministic.
 
 Truncation: the first successor that would be a fresh state beyond
-``max_states`` marks the result truncated and ends the build. The edges
-its source node collected up to that point are kept, a partial
-probabilistic fan-out included; no other node is expanded.
+``max_states``, or a fresh state once the printed keys of the stored
+states have passed `STATE_TEXT_BUDGET` characters, marks the result
+truncated and ends the build. The edges its source node collected up to that point are
+kept, a partial probabilistic fan-out included; no other node is
+expanded.
 """
 
 from __future__ import annotations
@@ -26,6 +28,14 @@ from .semantics import (
     nd_successors,
     prob_successors,
 )
+
+
+#: Characters that the printed keys of one build's states may take in
+#: total: about 100 times the most a benchmark model stores (415,000, on
+#: `interleave`). A model whose states grow with each step, such as
+#: ``X = <c,0.5>.(X;0)``, holds memory quadratic in its state count, and
+#: this stops it long before the default ``max_states``.
+STATE_TEXT_BUDGET = 50_000_000
 
 
 class BuildConfig(_Record):
@@ -103,14 +113,18 @@ def _explore(env: DefinitionEnv, root: Process, max_states: int) -> Lts:
     lts = Lts()
     nodes = lts.nodes
     id_by_key: dict[str, int] = {}
+    text = 0  # characters in the keys of the stored states
 
     def admit(produced: Process) -> int | None:
+        nonlocal text
+        # The root and every successor come canonical: a mark test.
         canonical = canonicalize(produced, env)
         key = pretty_print(canonical)
         found = id_by_key.get(key)
         if found is None:
-            if len(nodes) >= max_states:
+            if len(nodes) >= max_states or text > STATE_TEXT_BUDGET:
                 return None
+            text += len(key)
             found = id_by_key[key] = len(nodes)
             nodes.append(LtsNode(found, canonical, key, classify(canonical, env)))
         return found

@@ -39,15 +39,19 @@ injective, so equal keys mean equal trees. A node whose operands come
 back unchanged is returned itself, and every result of canonicalizing
 an unguarded position is marked on the (slotted) node as canonical.
 Such a term has no unguarded variable left, so it is a fixed point for
-any environment, and a later call returns it at once. Successor states
-share most subtrees with their already-canonical source, so they are
-rewritten only along the path that changed.
+any environment, and a later call returns it at once.
+
+The transition rules build each successor canonical. Climbing back
+from the position that moved, they put each level's node back over its
+new canonical operands through `rewrap`, which applies S1-S4 to that
+one node, so a successor costs one rewrite per changed level and is
+never built raw. `_canon` puts its binary nodes together through the
+same function, the one copy of S2-S4.
 
 Every node a rewrite builds comes from the build's table of shared
 nodes (`process.rebuild`, and `process.shared` for a new weight). A
 reordered spine that a previous state already produced comes back as
-that same object, marked canonical and with its key printed, so the
-rewrite stops there.
+that same object, marked canonical and with its key printed.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from .process import (
     Process,
     Seq,
     Var,
+    _set,
     pretty_print,
     rebuild,
     shared,
@@ -156,29 +161,61 @@ def _canon(p: Process, env: DefinitionEnv, terms: dict, guarded: bool) -> Proces
         q = _canon(p.left if p.prob == 1.0 else p.right, env, terms, guarded)
     else:
         # S2-S4 on -, +, *{r} and ||{A}.
-        left = _canon(p.left, env, terms, guarded)
-        right = _canon(p.right, env, terms, guarded)
-        if kind is Par and type(left) is Nil and type(right) is Nil:
-            q = NIL
-        else:
-            left_key, right_key = pretty_print(left), pretty_print(right)
-            if right_key < left_key:
-                if kind is not ProbChoice:
-                    q = rebuild(terms, p, right, left)
-                else:
-                    prob = 1.0 - p.prob
-                    # A tiny r, whose 1-r rounds to 1, takes S5.
-                    q = right if prob == 1.0 else shared(terms, prob, right, left)
-            elif left_key != right_key or kind is Par:
-                if left is p.left and right is p.right:
-                    q = p
-                else:
-                    q = rebuild(terms, p, left, right)
-            elif kind is ProbChoice:
-                # Equal operands leave no order to pick r or 1-r by.
-                q = shared(terms, 0.5, left, left)
-            else:
-                q = left
+        return rewrap(p, env, terms, _canon(p.left, env, terms, guarded),
+                      _canon(p.right, env, terms, guarded))
     if not guarded:
-        object.__setattr__(q, "_canonical", True)
+        _set(q, "_canonical", True)
+    return q
+
+
+def rewrap(
+    p: Process, env: DefinitionEnv, terms: dict, left: Process,
+    right: Process | None = None,
+) -> Process:
+    """The canonical node of ``p``'s kind and scalar field over new
+    canonical operands, from ``terms``: S2-S4, and for a `Seq` S1.
+
+    ``p`` is a canonical node, or for `_canon` a binary node whose
+    operands it has just canonicalized. A `Seq` takes ``left`` alone and
+    keeps ``p.right``. The result is marked canonical when its operands
+    are; under a guard `_canon` passes operands that may hold a folded
+    variable.
+    """
+    kind = type(p)
+    if kind is Seq:
+        if left is p.left:
+            return p
+        if type(left) is Nil:
+            # S1 exposes the right operand at this position.
+            return _canon(p.right, env, terms, False)
+        q = rebuild(terms, p, left, p.right)
+        _set(q, "_canonical", True)
+        return q
+    if left is p.left and right is p.right and p._canonical:
+        return p
+    if kind is Par and type(left) is Nil and type(right) is Nil:
+        q = NIL
+    else:
+        left_key, right_key = pretty_print(left), pretty_print(right)
+        if right_key < left_key:
+            if kind is not ProbChoice:
+                q = rebuild(terms, p, right, left)
+            else:
+                prob = 1.0 - p.prob
+                if prob == 1.0:
+                    # A tiny r, whose 1-r rounds to 1, takes S5.
+                    return right
+                q = shared(terms, prob, right, left)
+        elif left_key != right_key or kind is Par:
+            if left is p.left and right is p.right:
+                q = p
+            else:
+                q = rebuild(terms, p, left, right)
+        elif kind is ProbChoice:
+            # Equal operands leave no order to pick r or 1-r by.
+            q = shared(terms, 0.5, left, left)
+        else:
+            return left
+    if left._canonical and right._canonical:
+        _set(q, "_canonical", True)
     return q

@@ -11,10 +11,11 @@ selected format is the only thing on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
-from .builder import BuildConfig, build_lts
+from .builder import STATE_TEXT_BUDGET, BuildConfig, build_lts
 from .canonical import check
 from .errors import (
     DuplicateDefinition,
@@ -28,8 +29,7 @@ from .parser import parse_program
 from .process import DefinitionEnv
 
 # For a state nested deeper than the recursion limit allows: the
-# canonicalizer recurses once per tree level, which a model that grows
-# with each step reaches from a shallow input. Parsing has no limit.
+# canonicalizer recurses once per tree level. Parsing has no limit.
 _STATE_TOO_DEEP = "error: a state is nested too deeply to build"
 
 
@@ -43,6 +43,9 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError("must be a positive integer")
 
 
+# Built on the first call and kept: parsing does not change a parser,
+# and building one costs ten times a parse.
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rosa-lts",
@@ -138,8 +141,12 @@ def run(args: argparse.Namespace) -> int:
         return 2
 
     if lts.truncated:
+        limit = f"{len(lts.nodes)} states"
+        if len(lts.nodes) < args.max_states:
+            limit += (", whose printed forms passed the size budget of "
+                      f"{STATE_TEXT_BUDGET} characters")
         print(
-            f"warning: stopped at {args.max_states} states; "
+            f"warning: stopped at {limit}; "
             "output is a truncated prefix of the full system",
             file=sys.stderr,
         )

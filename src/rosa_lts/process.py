@@ -19,7 +19,8 @@ node; printing a tree again, or a new tree built around already printed
 subtrees, renders only the new nodes.
 
 Nodes that a build constructs are shared: `build_lts` holds a table of
-them on its copy of the environment, and the rewrites and rules take
+them on its copy of the environment, and the canonical rewrite, which
+the transition rules call to build each successor canonical, takes
 each new node from it through `rebuild`, which puts a node's kind and
 scalar fields on new children (and through `shared` for the two
 reweighted probabilistic choices of canonicalization). The table is
@@ -78,6 +79,14 @@ def _number(value: object, what: str) -> float:
         except OverflowError:
             pass
     raise ValueError(f"{what} must be a number: {value!r}")
+
+
+def _rate(value: object) -> float:
+    """``value`` as a positive float rate; `INF` is one."""
+    rate = _number(value, "rate")
+    if not rate > 0.0:
+        raise ValueError(f"rate must be positive: {rate!r}")
+    return rate
 
 
 def _sync_set(value: object) -> frozenset[str]:
@@ -193,11 +202,8 @@ class Prefix(_Term):
     def __init__(self, action: str, rate: float, continuation: Process) -> None:
         _check_name(action, "action name")
         _check_operands(continuation)
-        value = _number(rate, "rate")
-        if not value > 0.0:
-            raise ValueError(f"rate must be positive: {value!r}")
         _set(self, "action", action)
-        _set(self, "rate", value)
+        _set(self, "rate", _rate(rate))
         _set(self, "continuation", continuation)
         _set(self, "_key", None)
         _set(self, "_canonical", False)

@@ -13,34 +13,37 @@ one linear walk that leaves stable operands as written. A joint move
 takes the plain ``min`` of its two rates, whose identity is the passive
 rate `INF`.
 
-The rules read canonical terms. Each entry point first canonicalizes
-its argument, which returns an already canonical node at once, so it
-answers for the canonical form: the same kinds, ``nd:`` paths and
-successors the builder emits. A canonical term has no unguarded
-variable, so unfolding and the unguarded-recursion check live in
-`canonical`.
+The rules read canonical terms and return canonical successors. Each
+entry point first canonicalizes its argument, which returns an already
+canonical node at once, so it answers for the canonical form: the same
+kinds, ``nd:`` paths and successors the builder emits. A canonical term
+has no unguarded variable, so unfolding and the unguarded-recursion
+check live in `canonical`.
 
-The rules take each node they build from the build's table of shared
-nodes (`process.rebuild`). A successor that another state, or another
-rule, has built already is the same object, so the builder finds it
-canonical, and its key printed, at once.
+A walk builds each successor canonical on its way back up: every level
+it climbs puts the node's kind back over the new operands through
+`canonical.rewrap` (S1-S4 on that node, from the build's table of
+shared nodes), and a fired prefix canonicalizes its continuation, which
+may unfold a variable and so raise UnguardedRecursion. A successor that
+another state, or another rule, has built already is the same object,
+and the builder finds every successor marked canonical.
 
 The table also holds one memo per walk, from the ``id`` of a non-leaf
 node to the walk's result for it. A walk marks a node the first time
 it meets it and keeps the result from the second time on, so a shared
 subterm is walked below at most twice per build, and a node met once
 (each level of one very wide term) leaves no list for the garbage
-collector to trace. A result is a pure function of a canonical node and
-the table, and no id is reused while the table lives, as an admitted
-state or the table holds every node a walk reads. The builder only
-iterates a cached list.
+collector to trace. A result is a pure function of a canonical node,
+the environment and the table, which one build holds fixed, and no id
+is reused while the table lives, as an admitted state or the table holds
+every node a walk reads. The builder only iterates a cached list.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .canonical import canonicalize
+from .canonical import _canon, canonicalize, rewrap
 from .process import (
     DefinitionEnv,
     ExtChoice,
@@ -52,8 +55,9 @@ from .process import (
     Process,
     Seq,
     _Record,
+    _check_name,
+    _rate,
     _set,
-    rebuild,
 )
 
 #: Slack for probability sums accumulated from branch products.
@@ -67,8 +71,8 @@ class NdBranch(_Record):
     __slots__ = __match_args__ = ("path",)
 
     def __init__(self, path: str) -> None:
-        if not path:
-            raise ValueError("empty branch path")
+        if not isinstance(path, str) or not path:
+            raise ValueError(f"branch path must be a non-empty string: {path!r}")
         _set(self, "path", path)
 
 
@@ -90,8 +94,9 @@ class Action(_Record):
     __slots__ = __match_args__ = ("name", "rate")
 
     def __init__(self, name: str, rate: float) -> None:
+        _check_name(name, "action name")
         _set(self, "name", name)
-        _set(self, "rate", rate)
+        _set(self, "rate", _rate(rate))
 
 
 TransitionLabel = NdBranch | Prob | Action
@@ -108,8 +113,8 @@ class NodeKind(enum.Enum):
 # layer walk ----------------------------------------------------------
 
 # The walks' memo keys in the table, ints that no definition name and no
-# `rebuild` key equals; memo entries (module docstring): no entry, and a
-# node met once.
+# node's key tuple equals; memo entries (module docstring): no entry, and
+# a node met once.
 _LAYER_MEMO, _ND_MEMO, _PROB_MEMO, _ACT_MEMO = range(4)
 _NEW, _ONCE = object(), object()
 _ND = (NodeKind.ND_UNSTABLE, ())
@@ -168,7 +173,9 @@ def classify(p: Process, env: DefinitionEnv) -> NodeKind:
 # non-deterministic rules ---------------------------------------------
 
 
-def _nd(p: Process, terms: dict, memo: dict) -> list[tuple[str, Process]]:
+def _nd(
+    p: Process, env: DefinitionEnv, terms: dict, memo: dict
+) -> list[tuple[str, Process]]:
     """``(path, successor)`` per unguarded internal choice; empty for a
     deterministically stable ``p``."""
     kind = type(p)
@@ -181,11 +188,11 @@ def _nd(p: Process, terms: dict, memo: dict) -> list[tuple[str, Process]]:
     if seen is not _NEW and seen is not _ONCE:
         return seen
     left, right = p.left, p.right
-    out = [("L." + k, rebuild(terms, p, s, right))
-           for k, s in _nd(left, terms, memo)]
+    out = [("L." + k, rewrap(p, env, terms, s, right))
+           for k, s in _nd(left, env, terms, memo)]
     if kind is not Seq:
-        out += [("R." + k, rebuild(terms, p, left, s))
-                for k, s in _nd(right, terms, memo)]
+        out += [("R." + k, rewrap(p, env, terms, left, s))
+                for k, s in _nd(right, env, terms, memo)]
     memo[key] = out if seen is _ONCE else _ONCE
     return out
 
@@ -199,12 +206,12 @@ def nd_successors(
     An IntChoice at the root takes its two axiom branches; otherwise
     each unstable operand contributes its successors re-wrapped in the
     surrounding context, label path prefixed with the operand side, and
-    stable operands are left untouched. Raises ValueError for a
-    deterministically stable ``p``.
+    stable operands are left untouched. Each successor is canonical.
+    Raises ValueError for a deterministically stable ``p``.
     """
     p = canonicalize(p, env)
     terms = env._shared_terms()
-    out = _nd(p, terms, terms.setdefault(_ND_MEMO, {}))
+    out = _nd(p, env, terms, terms.setdefault(_ND_MEMO, {}))
     if not out:
         raise ValueError("nd_successors requires a deterministically "
                          f"unstable process, got {p}")
@@ -215,7 +222,7 @@ def nd_successors(
 
 
 def _presolve(
-    p: Process, terms: dict, memo: dict
+    p: Process, env: DefinitionEnv, terms: dict, memo: dict
 ) -> list[tuple[float, Process]] | None:
     """``(weight, successor)`` per resolution of the unguarded prob
     choices; None if there is none, and the caller keeps ``p`` as is."""
@@ -229,21 +236,21 @@ def _presolve(
     if kind is ProbChoice:
         out: list[tuple[float, Process]] | None = []
         for w, branch in ((p.prob, p.left), (1.0 - p.prob, p.right)):
-            sub = _presolve(branch, terms, memo)
+            sub = _presolve(branch, env, terms, memo)
             out.extend([(w, branch)] if sub is None else
                        [(w * ws, s) for ws, s in sub])
     elif kind is Seq:
-        left = _presolve(p.left, terms, memo)
+        left = _presolve(p.left, env, terms, memo)
         out = None if left is None else [
-            (w, rebuild(terms, p, s, p.right)) for w, s in left]
+            (w, rewrap(p, env, terms, s)) for w, s in left]
     elif kind is IntChoice:
         raise ValueError("probabilistic stability is only defined for "
                          "deterministically stable processes")
     else:
-        left = _presolve(p.left, terms, memo)
-        right = _presolve(p.right, terms, memo)
+        left = _presolve(p.left, env, terms, memo)
+        right = _presolve(p.right, env, terms, memo)
         out = None if left is None and right is None else [
-            (wl * wr, rebuild(terms, p, sl, sr))
+            (wl * wr, rewrap(p, env, terms, sl, sr))
             for wl, sl in ([(1.0, p.left)] if left is None else left)
             for wr, sr in ([(1.0, p.right)] if right is None else right)
         ]
@@ -260,11 +267,11 @@ def prob_successors(
     The result is the cartesian product of per-choice resolutions; each
     successor's probability is the product of its chosen branch
     probabilities, and the returned probabilities sum to 1 within
-    PROB_TOLERANCE.
+    PROB_TOLERANCE. Each successor is canonical.
     """
     p = canonicalize(p, env)
     terms = env._shared_terms()
-    out = _presolve(p, terms, terms.setdefault(_PROB_MEMO, {}))
+    out = _presolve(p, env, terms, terms.setdefault(_PROB_MEMO, {}))
     if out is None:
         raise ValueError("prob_successors requires a probabilistically "
                          f"unstable process, got {p}")
@@ -276,10 +283,14 @@ def prob_successors(
 # action rules --------------------------------------------------------
 
 
-def _act(p: Process, terms: dict, memo: dict) -> list[tuple[Action, Process]]:
+def _act(
+    p: Process, env: DefinitionEnv, terms: dict, memo: dict
+) -> list[tuple[Action, Process]]:
     kind = type(p)
     if kind is Prefix:
-        return [(Action(p.action, p.rate), p.continuation)]
+        # `_canon` itself, not a helper: one frame less per fired prefix.
+        return [(Action(p.action, p.rate),
+                 _canon(p.continuation, env, terms, False))]
     if kind is Nil:
         return []
     key = id(p)
@@ -287,22 +298,22 @@ def _act(p: Process, terms: dict, memo: dict) -> list[tuple[Action, Process]]:
     if seen is not _NEW and seen is not _ONCE:
         return seen
     if kind is ExtChoice:
-        out = _act(p.left, terms, memo) + _act(p.right, terms, memo)
+        out = _act(p.left, env, terms, memo) + _act(p.right, env, terms, memo)
     elif kind is Seq:
-        out = [(lbl, rebuild(terms, p, s, p.right))
-               for lbl, s in _act(p.left, terms, memo)]
+        out = [(lbl, rewrap(p, env, terms, s))
+               for lbl, s in _act(p.left, env, terms, memo)]
     elif kind is not Par:
         raise ValueError(f"action_successors requires a stable process, got {p}")
     else:
-        pmoves = _act(p.left, terms, memo)
-        qmoves = _act(p.right, terms, memo)
+        pmoves = _act(p.left, env, terms, memo)
+        qmoves = _act(p.right, env, terms, memo)
         sync, left, right = p.sync, p.left, p.right
-        out = [(a, rebuild(terms, p, s, right))
+        out = [(a, rewrap(p, env, terms, s, right))
                for a, s in pmoves if a.name not in sync]
-        out += [(a, rebuild(terms, p, left, s))
+        out += [(a, rewrap(p, env, terms, left, s))
                 for a, s in qmoves if a.name not in sync]
         out += [
-            (Action(pl.name, min(pl.rate, ql.rate)), rebuild(terms, p, ps_, qs))
+            (Action(pl.name, min(pl.rate, ql.rate)), rewrap(p, env, terms, ps_, qs))
             for pl, ps_ in pmoves if pl.name in sync
             for ql, qs in qmoves if ql.name == pl.name
         ]
@@ -322,7 +333,9 @@ def action_successors(
     the smaller of the two rates, so a passive (`INF`) side adopts its
     partner's rate; ``P;Q`` moves by P. Order: prefix/choice moves left
     to right, and for parallel first left interleavings, then right,
-    then joint moves. The empty result is a deadlock.
+    then joint moves. The empty result is a deadlock. Each successor is
+    canonical, so a fired prefix's continuation is unfolded, and a cycle
+    of unguarded definitions there raises UnguardedRecursion.
     """
     terms = env._shared_terms()
-    return _act(canonicalize(p, env), terms, terms.setdefault(_ACT_MEMO, {}))
+    return _act(canonicalize(p, env), env, terms, terms.setdefault(_ACT_MEMO, {}))

@@ -19,13 +19,11 @@ from rosa_lts import (
     LtsNode,
     NodeKind,
     Prob,
-    action_successors,
     canonicalize,
     classify,
-    nd_successors,
     pretty_print,
-    prob_successors,
 )
+import reference_semantics as ref
 
 PROB_DECIMALS = 9
 
@@ -75,10 +73,12 @@ def bisimilar(a: Lts, b: Lts) -> bool:
         block_ids = next_ids
 
 
+# The reference rules, which build each successor as the rule spells it;
+# the package's rules return canonical successors.
 _SUCCESSORS = {
-    NodeKind.ND_UNSTABLE: nd_successors,
-    NodeKind.PROB_UNSTABLE: prob_successors,
-    NodeKind.ACTION_ENABLED: action_successors,
+    NodeKind.ND_UNSTABLE: ref.nd_successors,
+    NodeKind.PROB_UNSTABLE: ref.prob_successors,
+    NodeKind.ACTION_ENABLED: ref.action_successors,
 }
 
 

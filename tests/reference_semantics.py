@@ -10,6 +10,13 @@ successor lists, in the same order.
 it rewrote each definition once: it unfolds the root variables of a
 term and raises UnguardedRecursion when a name comes back on the path
 since the last guard.
+
+These rules spell each successor as the rule builds it, where the
+package's rules return canonical successors. `canonicalize` is the
+rewrite system of `rosa_lts.canonical`, S1-S5, written out once more on
+fresh nodes: it reads no table of shared nodes and no canonical mark,
+so a fault in the package's rewrite does not reach the oracle. It
+shares only the constructors and `pretty_print` with the package.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from rosa_lts.process import (
     Process,
     Seq,
     Var,
+    pretty_print,
 )
 from rosa_lts.semantics import (
     Action,
@@ -259,3 +267,47 @@ def classify(p: Process, env: DefinitionEnv) -> NodeKind:
     if _act(p0, env, open_):
         return NodeKind.ACTION_ENABLED
     return NodeKind.DEADLOCK
+
+
+def canonicalize(p: Process, env: DefinitionEnv) -> Process:
+    """The canonical form of ``p``, by the rules S1-S5 of
+    `rosa_lts.canonical` applied innermost first; variables unfold at
+    unguarded positions only."""
+    return _canon(p, env, (), False)
+
+
+def _canon(
+    p: Process, env: DefinitionEnv, open_: tuple[str, ...], guarded: bool
+) -> Process:
+    if not guarded:
+        p, open_ = _unfold(p, env, open_)
+    if isinstance(p, (Nil, Var)):
+        return p
+    if isinstance(p, Prefix):
+        return Prefix(p.action, p.rate, _canon(p.continuation, env, (), True))
+    if isinstance(p, Seq):
+        left = _canon(p.left, env, open_, guarded)
+        if isinstance(left, Nil):
+            return _canon(p.right, env, open_, guarded)  # S1
+        return Seq(left, _canon(p.right, env, (), True))
+    if isinstance(p, ProbChoice) and p.prob in (0.0, 1.0):
+        live = p.left if p.prob == 1.0 else p.right
+        return _canon(live, env, open_, guarded)  # S5
+    left = _canon(p.left, env, open_, guarded)
+    right = _canon(p.right, env, open_, guarded)
+    if isinstance(p, Par) and isinstance(left, Nil) and isinstance(right, Nil):
+        return Nil()  # S2
+    left_key, right_key = pretty_print(left), pretty_print(right)
+    if left_key == right_key and not isinstance(p, Par):
+        # S3, and one weight for a choice between equal operands (S4).
+        return ProbChoice(0.5, left, left) if isinstance(p, ProbChoice) else left
+    if right_key < left_key:  # S4
+        if isinstance(p, ProbChoice):
+            prob = 1.0 - p.prob
+            return right if prob == 1.0 else ProbChoice(prob, right, left)
+        left, right = right, left
+    if isinstance(p, ProbChoice):
+        return ProbChoice(p.prob, left, right)
+    if isinstance(p, Par):
+        return Par(p.sync, left, right)
+    return type(p)(left, right)

@@ -138,6 +138,21 @@ def test_raw_keys_keep_step_artifacts_apart():
     assert {n.key for n in raw.nodes} == {"(a.0;c.0)+b.c.0", "0;c.0", "c.0", "0"}
 
 
+def test_growing_states_stop_at_the_text_budget(monkeypatch):
+    # Each step adds a level to the state, built without a walk of the
+    # levels below, so only the budget on the stored states' printed
+    # size stops the chain before max_states.
+    monkeypatch.setattr(rosa_lts.builder, "STATE_TEXT_BUDGET", 100_000)
+    lts = build_lts(parse_program("X = <c,0.5>.(X;0)"))
+    assert lts.truncated and len(lts.nodes) < 1000
+    sizes = [len(n.key) for n in lts.nodes]
+    assert sum(sizes[:-1]) <= 100_000 < sum(sizes)
+    # The root is stored whatever its size.
+    monkeypatch.setattr(rosa_lts.builder, "STATE_TEXT_BUDGET", 0)
+    lts = build_lts(parse_program("X = <c,0.5>.(X;0)"))
+    assert lts.truncated and [n.key for n in lts.nodes] == ["<c,0.5>.(X;0)"]
+
+
 def test_unbound_variable_surfaces():
     env = DefinitionEnv(bindings={"main": Var("GHOST")})
     with pytest.raises(UnboundVariable):
@@ -268,6 +283,26 @@ def test_a_state_reached_twice_is_one_object(monkeypatch):
     assert sum(len(found) for found in seen.values()) > 2 * len(seen)
     for found in seen.values():
         assert all(q is found[0] for q in found)
+
+
+def test_the_rules_hand_the_builder_canonical_states(monkeypatch):
+    # The walks build each successor canonical, so the builder's
+    # canonicalize finds every state it admits marked already.
+    handed = []
+    canonicalize = rosa_lts.builder.canonicalize
+
+    def spy(p, env):
+        handed.append(p._canonical)
+        return canonicalize(p, env)
+
+    monkeypatch.setattr(rosa_lts.builder, "canonicalize", spy)
+    rng = random.Random(61)
+    envs = [parse_program(INTERLEAVE_2)]
+    envs += [for_process(gen_process(rng, depth=4, dyadic=False)) for _ in range(100)]
+    for env in envs:
+        build_lts(env)
+    assert len(handed) > 1000
+    assert all(handed)
 
 
 # Three components: 4**3 + 2*3*4**2 + 1 = 161 states, and one unfold of

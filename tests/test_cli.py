@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import rosa_lts.builder
+import rosa_lts.cli
 from rosa_lts.cli import main
 
 SAMPLE_SOURCE = "<a,0.3>.0||{a,c}<b,inf>.0\n"
@@ -179,6 +181,25 @@ def test_truncation_warns_but_succeeds(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "warning:" in captured.err
     assert "truncated: yes" in captured.out
+
+
+def test_a_growing_model_stops_at_the_text_budget(tmp_path, capsys, monkeypatch):
+    # Each step adds a level to the state; the warning names the budget
+    # that stopped the build, and the state count it stopped at.
+    for module in (rosa_lts.builder, rosa_lts.cli):
+        monkeypatch.setattr(module, "STATE_TEXT_BUDGET", 10_000)
+    path = tmp_path / "grow.rosa"
+    path.write_text("X = <c,0.5>.(X ||{} 0)\n", encoding="utf-8")
+    assert main([str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "truncated: yes" in captured.out
+    nodes = int(captured.out.split("nodes: ")[1].split()[0])
+    assert nodes < 1000
+    assert captured.err == (
+        f"warning: stopped at {nodes} states, whose printed forms passed the "
+        "size budget of 10000 characters; output is a truncated prefix of "
+        "the full system\n"
+    )
 
 
 GOLDEN = {

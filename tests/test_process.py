@@ -7,9 +7,11 @@ import pytest
 from rosa_lts import (
     INF,
     NIL,
+    Action,
     DefinitionEnv,
     ExtChoice,
     IntChoice,
+    NdBranch,
     Par,
     Prefix,
     ProbChoice,
@@ -70,6 +72,11 @@ def test_infinite_is_a_singleton_value():
         lambda: ExtChoice("a.0", NIL),
         lambda: ProbChoice(0.5, NIL, None),
         lambda: Par(frozenset(), NIL, Var),
+        # transition labels check their fields too
+        lambda: Action(3, "x"),
+        lambda: Action("a", -1.0),
+        lambda: NdBranch(5),
+        lambda: NdBranch(float("nan")),
     ],
 )
 def test_invalid_constructions_are_rejected(build):

@@ -190,9 +190,10 @@ def test_action_prefix_fires():
 def test_action_interleaving_and_blocking():
     p = Par(frozenset({"a", "c"}), Prefix("a", 0.3, NIL), Prefix("b", INF, NIL))
     succ = action_successors(p, EMPTY)
-    # the a offer waits for a partner; b moves freely
+    # the a offer waits for a partner; b moves freely, and the
+    # canonical successor puts 0 first
     assert succ == [
-        (Action("b", INF), Par(frozenset({"a", "c"}), Prefix("a", 0.3, NIL), NIL))
+        (Action("b", INF), Par(frozenset({"a", "c"}), NIL, Prefix("a", 0.3, NIL)))
     ]
 
 
@@ -205,13 +206,15 @@ def test_action_external_choice_keeps_both_alternatives():
 def test_action_synchronization_takes_minimum_rate():
     p = Par(frozenset({"i"}), Prefix("i", 0.6, NIL), Prefix("i", 0.7, NIL))
     succ = action_successors(p, EMPTY)
-    assert succ == [(Action("i", 0.6), Par(frozenset({"i"}), NIL, NIL))]
+    # S2 turns 0 ||{i} 0 into 0.
+    assert succ == [(Action("i", 0.6), NIL)]
 
 
 def test_action_seq_moves_by_the_left_operand():
     p = Seq(Prefix("a", 1.0, NIL), a("b"))
     succ = action_successors(p, EMPTY)
-    assert succ == [(Action("a", 1.0), Seq(NIL, a("b")))]
+    # S1 turns 0;b.0 into b.0.
+    assert succ == [(Action("a", 1.0), a("b"))]
 
 
 def test_action_nil_has_no_moves():
@@ -287,7 +290,10 @@ def test_layer_walks_match_the_reference():
     # One classification walk and linear families against the earlier
     # separate stability walks. The entry points answer for the
     # canonical form, so a raw term and its canonical form must both
-    # give the reference's results on the canonical form.
+    # give the reference's results on the canonical form. The walks
+    # return canonical successors, where the reference spells them raw;
+    # the reference's own canonicalizer, which shares no rewrite code
+    # with the package, puts them in canonical form.
     rng = random.Random(3)
     seen = Counter()
     for _ in range(400):
@@ -295,7 +301,8 @@ def test_layer_walks_match_the_reference():
         canonical = canonicalize(raw, VAR_ENV)
         kind = ref.classify(canonical, VAR_ENV)
         family, reference = FAMILIES[kind]
-        expected = reference(canonical, VAR_ENV)
+        expected = [(label, ref.canonicalize(s, VAR_ENV))
+                    for label, s in reference(canonical, VAR_ENV)]
         for p in (raw, canonical):
             assert classify(p, VAR_ENV) == kind, p
             assert family(p, VAR_ENV) == expected, p
@@ -321,6 +328,13 @@ def test_entry_points_answer_for_the_canonical_form():
     # The unfolding that canonicalizes the root finds the cycle.
     with pytest.raises(UnguardedRecursion):
         classify(Var("P"), parse_program("P = 0;P\nmain = a.0"))
+    # Successors are canonical too: S2 turns the synchronized 0 ||{i} 0
+    # into 0, and a fired prefix unfolds its continuation, so a cycle
+    # behind the action is found there.
+    sync = parse_process_text("<i,0.6>.0 ||{i} <i,0.7>.0")
+    assert action_successors(sync, EMPTY) == [(Action("i", 0.6), NIL)]
+    with pytest.raises(UnguardedRecursion):
+        action_successors(parse_process_text("a.P"), parse_program("P = P"))
 
 
 def test_a_call_outside_a_build_makes_the_one_memo_it_uses(monkeypatch):
