@@ -17,7 +17,7 @@ expanded.
 
 from __future__ import annotations
 
-from .canonical import canonicalize, check
+from .canonical import _Build, canonicalize, check
 from .process import DefinitionEnv, Process, _Record, _set, pretty_print
 from .semantics import (
     NodeKind,
@@ -95,21 +95,16 @@ class Lts(_Record):
 
 
 def build_lts(env: DefinitionEnv, config: BuildConfig | None = None) -> Lts:
-    """Explore the reachable state space of env's root process."""
+    """Explore the reachable state space of env's root process, with one
+    record of shared state (`canonical._Build`) that is dropped when the
+    build returns or raises."""
     # The limit is checked again here, as a config's field is writable.
     max_states = _checked_limit((config or BuildConfig()).max_states)
-    # The build's table of shared nodes, with the rule walks' memos,
-    # lives on a private copy of env and is dropped on the way out, so
-    # nothing the build constructed outlives it except through the result.
-    env = DefinitionEnv(env.bindings, env.root)
-    _set(env, "_terms", {})
-    try:
-        return _explore(env, check(env), max_states)
-    finally:
-        _set(env, "_terms", None)
+    build = _Build(env)
+    return _explore(build, check(build), max_states)
 
 
-def _explore(env: DefinitionEnv, root: Process, max_states: int) -> Lts:
+def _explore(build: _Build, root: Process, max_states: int) -> Lts:
     lts = Lts()
     nodes = lts.nodes
     id_by_key: dict[str, int] = {}
@@ -118,7 +113,7 @@ def _explore(env: DefinitionEnv, root: Process, max_states: int) -> Lts:
     def admit(produced: Process) -> int | None:
         nonlocal text
         # The root and every successor come canonical: a mark test.
-        canonical = canonicalize(produced, env)
+        canonical = canonicalize(produced, build)
         key = pretty_print(canonical)
         found = id_by_key.get(key)
         if found is None:
@@ -126,18 +121,18 @@ def _explore(env: DefinitionEnv, root: Process, max_states: int) -> Lts:
                 return None
             text += len(key)
             found = id_by_key[key] = len(nodes)
-            nodes.append(LtsNode(found, canonical, key, classify(canonical, env)))
+            nodes.append(LtsNode(found, canonical, key, classify(canonical, build)))
         return found
 
     admit(root)
     for node in nodes:
         prob = node.kind == NodeKind.PROB_UNSTABLE
         if prob:
-            successors = prob_successors(node.process, env)
+            successors = prob_successors(node.process, build)
         elif node.kind == NodeKind.ND_UNSTABLE:
-            successors = nd_successors(node.process, env)
+            successors = nd_successors(node.process, build)
         elif node.kind == NodeKind.ACTION_ENABLED:
-            successors = action_successors(node.process, env)
+            successors = action_successors(node.process, build)
         else:
             continue  # deadlock and success nodes have no successors
         # Probabilistic branches into one state merge into one edge with

@@ -26,12 +26,12 @@ as it is, and only results at unguarded positions are marked canonical
 (below).
 
 A definition's body canonicalizes the same wherever it is unfolded, so
-it is rewritten once per table of shared nodes and kept there under its
-name. Meeting a name again while its body is rewritten is recursion
-that no action guards (``P = P``, ``P = 0;P``, or ``P = Q||{}0`` with
-``Q = P+a.0``), and raises UnguardedRecursion naming the cycle. `check`
-rewrites every definition the root reaches before a build explores any
-state.
+it is rewritten once per build and kept under its name in the
+``bodies`` of the build's record (`_Build`, below). Meeting a name
+again while its body is rewritten is recursion that no action guards
+(``P = P``, ``P = 0;P``, or ``P = Q||{}0`` with ``Q = P+a.0``), and
+raises UnguardedRecursion naming the cycle. `check` rewrites every
+definition the root reaches before a build explores any state.
 
 Operands are ordered, and S3 detected, by comparing keys, which each
 node computes once and caches (see `pretty_print`); printing is
@@ -48,7 +48,7 @@ one node, so a successor costs one rewrite per changed level and is
 never built raw. `_canon` puts its binary nodes together through the
 same function, the one copy of S2-S4.
 
-Every node a rewrite builds comes from the build's table of shared
+Every node a rewrite builds comes from the record's table of shared
 nodes (`process.rebuild`, and `process.shared` for a new weight). A
 reordered spine that a previous state already produced comes back as
 that same object, marked canonical and with its key printed.
@@ -74,12 +74,40 @@ from .process import (
 )
 
 
+class _Build:
+    """The state that one build shares, one dict per kind of key:
+    ``nodes``, the table of shared nodes (`process.rebuild`); ``bodies``,
+    each unfolded definition's canonical body by name, None while it is
+    rewritten; ``layer``, ``nd``, ``prob`` and ``act``, the four rule
+    walks' memos by node ``id`` (`semantics`). `build_lts` passes its
+    record for the environment to the entry points here and in
+    `semantics`; called with a `DefinitionEnv`, each makes a record for
+    that call. Nothing built outlives the record but through the result.
+    """
+
+    __slots__ = ("env", "nodes", "bodies", "layer", "nd", "prob", "act")
+
+    def __init__(self, env: DefinitionEnv) -> None:
+        self.env = env
+        self.nodes = {}
+        self.bodies = {}
+        self.layer = {}
+        self.nd = {}
+        self.prob = {}
+        self.act = {}
+
+
+def _build_of(env: DefinitionEnv | _Build) -> _Build:
+    """``env`` itself if it is a build record, else one for this call."""
+    return env if type(env) is _Build else _Build(env)
+
+
 def check(env: DefinitionEnv) -> Process:
     """Rewrite every definition the root's body reaches, except through
     an operand that S5 drops, and return the canonical root state."""
-    terms = env._shared_terms()
-    stack = [env.root_process()]
-    root = _canon(stack[0], env, terms, False)
+    b = _build_of(env)
+    stack = [b.env.root_process()]
+    root = _canon(stack[0], b, False)
     seen = set()
     while stack:
         p = stack.pop()
@@ -89,8 +117,8 @@ def check(env: DefinitionEnv) -> Process:
         if kind is Var:
             if p.name not in seen:
                 seen.add(p.name)
-                _canon(p, env, terms, False)
-                stack.append(env.lookup(p.name))
+                _canon(p, b, False)
+                stack.append(b.env.lookup(p.name))
         elif kind is ProbChoice and (p.prob == 1.0 or p.prob == 0.0):
             stack.append(p.left if p.prob == 1.0 else p.right)
         elif kind is not Nil:
@@ -105,7 +133,7 @@ def canonicalize(p: Process, env: DefinitionEnv) -> Process:
             return p
     except AttributeError:
         raise TypeError(f"not a Process: {p!r}") from None
-    return _canon(p, env, env._shared_terms(), False)
+    return _canon(p, _build_of(env), False)
 
 
 def canonical_key(p: Process, env: DefinitionEnv) -> str:
@@ -113,7 +141,7 @@ def canonical_key(p: Process, env: DefinitionEnv) -> str:
     return pretty_print(canonicalize(p, env))
 
 
-def _canon(p: Process, env: DefinitionEnv, terms: dict, guarded: bool) -> Process:
+def _canon(p: Process, b: _Build, guarded: bool) -> Process:
     # Marked below: a fixed point in any position (module docstring).
     if p._canonical:
         return p
@@ -121,59 +149,58 @@ def _canon(p: Process, env: DefinitionEnv, terms: dict, guarded: bool) -> Proces
     if kind is Var:
         if guarded:
             return p
-        # A definition is rewritten once per table (module docstring),
+        # A definition is rewritten once per build (module docstring),
         # here and not in a helper: two frames per nested one, not three.
+        bodies = b.bodies
         chain = []
-        while p.name not in terms:
-            terms[p.name] = None  # open until rewritten
+        while p.name not in bodies:
+            bodies[p.name] = None  # open until rewritten
             chain.append(p.name)
-            p = env.lookup(p.name)
+            p = b.env.lookup(p.name)
             if type(p) is not Var:
-                q = _canon(p, env, terms, False)
+                q = _canon(p, b, False)
                 break
         else:
-            q = terms[p.name]
+            q = bodies[p.name]
             if q is None:
                 # The open entries, in insertion order, are the unfold path.
-                cycle = [n for n, value in terms.items() if value is None]
+                cycle = [n for n, value in bodies.items() if value is None]
                 raise UnguardedRecursion(tuple(cycle[cycle.index(p.name):]) + (p.name,))
         for name in chain:
-            terms[name] = q
+            bodies[name] = q
         return q
     if kind is Nil:
         q = p
     elif kind is Prefix:
-        cont = _canon(p.continuation, env, terms, True)
-        q = p if cont is p.continuation else rebuild(terms, p, cont)
+        cont = _canon(p.continuation, b, True)
+        q = p if cont is p.continuation else rebuild(b.nodes, p, cont)
     elif kind is Seq:
-        left = _canon(p.left, env, terms, guarded)
+        left = _canon(p.left, b, guarded)
         if type(left) is Nil:
             # S1 exposes the right operand at this position.
-            q = _canon(p.right, env, terms, guarded)
+            q = _canon(p.right, b, guarded)
         else:
-            right = _canon(p.right, env, terms, True)
+            right = _canon(p.right, b, True)
             if left is p.left and right is p.right:
                 q = p
             else:
-                q = rebuild(terms, p, left, right)
+                q = rebuild(b.nodes, p, left, right)
     elif kind is ProbChoice and (p.prob == 1.0 or p.prob == 0.0):
         # S5, before the dead operand is visited.
-        q = _canon(p.left if p.prob == 1.0 else p.right, env, terms, guarded)
+        q = _canon(p.left if p.prob == 1.0 else p.right, b, guarded)
     else:
         # S2-S4 on -, +, *{r} and ||{A}.
-        return rewrap(p, env, terms, _canon(p.left, env, terms, guarded),
-                      _canon(p.right, env, terms, guarded))
+        return rewrap(p, b, _canon(p.left, b, guarded), _canon(p.right, b, guarded))
     if not guarded:
         _set(q, "_canonical", True)
     return q
 
 
 def rewrap(
-    p: Process, env: DefinitionEnv, terms: dict, left: Process,
-    right: Process | None = None,
+    p: Process, b: _Build, left: Process, right: Process | None = None
 ) -> Process:
     """The canonical node of ``p``'s kind and scalar field over new
-    canonical operands, from ``terms``: S2-S4, and for a `Seq` S1.
+    canonical operands, from ``b.nodes``: S2-S4, and for a `Seq` S1.
 
     ``p`` is a canonical node, or for `_canon` a binary node whose
     operands it has just canonicalized. A `Seq` takes ``left`` alone and
@@ -187,8 +214,8 @@ def rewrap(
             return p
         if type(left) is Nil:
             # S1 exposes the right operand at this position.
-            return _canon(p.right, env, terms, False)
-        q = rebuild(terms, p, left, p.right)
+            return _canon(p.right, b, False)
+        q = rebuild(b.nodes, p, left, p.right)
         _set(q, "_canonical", True)
         return q
     if left is p.left and right is p.right and p._canonical:
@@ -199,21 +226,21 @@ def rewrap(
         left_key, right_key = pretty_print(left), pretty_print(right)
         if right_key < left_key:
             if kind is not ProbChoice:
-                q = rebuild(terms, p, right, left)
+                q = rebuild(b.nodes, p, right, left)
             else:
                 prob = 1.0 - p.prob
                 if prob == 1.0:
                     # A tiny r, whose 1-r rounds to 1, takes S5.
                     return right
-                q = shared(terms, prob, right, left)
+                q = shared(b.nodes, prob, right, left)
         elif left_key != right_key or kind is Par:
             if left is p.left and right is p.right:
                 q = p
             else:
-                q = rebuild(terms, p, left, right)
+                q = rebuild(b.nodes, p, left, right)
         elif kind is ProbChoice:
             # Equal operands leave no order to pick r or 1-r by.
-            q = shared(terms, 0.5, left, left)
+            q = shared(b.nodes, 0.5, left, left)
         else:
             return left
     if left._canonical and right._canonical:

@@ -18,10 +18,10 @@ computed once, from its children's printed forms, and cached on the
 node; printing a tree again, or a new tree built around already printed
 subtrees, renders only the new nodes.
 
-Nodes that a build constructs are shared: `build_lts` holds a table of
-them on its copy of the environment, and the canonical rewrite, which
+Nodes that a build constructs are shared: the canonical rewrite, which
 the transition rules call to build each successor canonical, takes
-each new node from it through `rebuild`, which puts a node's kind and
+each new node from the node table of the build's record
+(`canonical._Build`) through `rebuild`, which puts a node's kind and
 scalar fields on new children (and through `shared` for the two
 reweighted probabilistic choices of canonicalization). The table is
 keyed by constructor, by the scalar fields and by the ``id`` of each
@@ -287,17 +287,12 @@ class DefinitionEnv(_Record):
     hashed.
     """
 
-    # ``_terms`` is the build's table of shared nodes (see `rebuild`), of
-    # canonical bodies by name and of the rule walks' memos, on the copy
-    # that `build_lts` works on; None on every other environment.
-    __slots__ = ("bindings", "root", "_terms")
-    __match_args__ = ("bindings", "root")
+    __slots__ = __match_args__ = ("bindings", "root")
 
     def __init__(self, bindings: dict[str, Process] | None = None,
                  root: str = MAIN_NAME) -> None:
         _set(self, "bindings", {} if bindings is None else bindings)
         _set(self, "root", root)
-        _set(self, "_terms", None)
 
     def lookup(self, name: str) -> Process:
         """The body bound to ``name``, verbatim (no substitution)."""
@@ -309,17 +304,12 @@ class DefinitionEnv(_Record):
     def root_process(self) -> Process:
         return self.lookup(self.root)
 
-    def _shared_terms(self) -> dict:
-        """The build's table of shared nodes, or a new one that lasts
-        for one call outside a build."""
-        return {} if self._terms is None else self._terms
-
 
 def rebuild(
-    terms: dict, p: Process, left: Process, right: Process | None = None
+    nodes: dict, p: Process, left: Process, right: Process | None = None
 ) -> Process:
     """The node of ``p``'s kind and scalar fields on new operands, taken
-    from ``terms`` when it holds one, else constructed and added. For a
+    from ``nodes`` when it holds one, else constructed and added. For a
     `Prefix`, ``left`` is the continuation.
 
     The key holds each operand's ``id``. That is sound because the
@@ -335,7 +325,7 @@ def rebuild(
         key = (kind, p.action, p.rate, id(left))
     else:
         key = (kind, None, id(left), id(right))
-    node = terms.get(key)
+    node = nodes.get(key)
     if node is None:
         if kind is Prefix:
             node = Prefix(p.action, p.rate, left)
@@ -343,17 +333,17 @@ def rebuild(
             node = kind(left, right)
         else:
             node = kind(key[1], left, right)
-        terms[key] = node
+        nodes[key] = node
     return node
 
 
-def shared(terms: dict, prob: float, left: Process, right: Process) -> Process:
-    """``ProbChoice(prob, left, right)`` from ``terms``, as `rebuild`
+def shared(nodes: dict, prob: float, left: Process, right: Process) -> Process:
+    """``ProbChoice(prob, left, right)`` from ``nodes``, as `rebuild`
     would give it, for a weight that no node to copy carries."""
     key = (ProbChoice, prob, id(left), id(right))
-    node = terms.get(key)
+    node = nodes.get(key)
     if node is None:
-        node = terms[key] = ProbChoice(prob, left, right)
+        node = nodes[key] = ProbChoice(prob, left, right)
     return node
 
 

@@ -22,28 +22,29 @@ check live in `canonical`.
 
 A walk builds each successor canonical on its way back up: every level
 it climbs puts the node's kind back over the new operands through
-`canonical.rewrap` (S1-S4 on that node, from the build's table of
-shared nodes), and a fired prefix canonicalizes its continuation, which
-may unfold a variable and so raise UnguardedRecursion. A successor that
-another state, or another rule, has built already is the same object,
-and the builder finds every successor marked canonical.
+`canonical.rewrap` (S1-S4 on that node), and a fired prefix
+canonicalizes its continuation, which may unfold a variable and so
+raise UnguardedRecursion. A successor that another state, or another
+rule, has built already is the same object, and the builder finds
+every successor marked canonical.
 
-The table also holds one memo per walk, from the ``id`` of a non-leaf
-node to the walk's result for it. A walk marks a node the first time
-it meets it and keeps the result from the second time on, so a shared
-subterm is walked below at most twice per build, and a node met once
-(each level of one very wide term) leaves no list for the garbage
-collector to trace. A result is a pure function of a canonical node,
-the environment and the table, which one build holds fixed, and no id
-is reused while the table lives, as an admitted state or the table holds
-every node a walk reads. The builder only iterates a cached list.
+Each walk keeps a memo in the build's record (`canonical._Build`), from
+the ``id`` of a non-leaf node to the walk's result for it. A walk marks
+a node the first time it meets it and keeps the result from the second
+time on, so a shared subterm is walked below at most twice per build,
+and a node met once (each level of one very wide term) leaves no list
+for the garbage collector to trace. A result is a pure function of a
+canonical node and the record's environment and node table, which one
+build holds fixed, and no id is reused while the record lives, as an
+admitted state or the node table holds every node a walk reads. The
+builder only iterates a cached list.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .canonical import _canon, canonicalize, rewrap
+from .canonical import _build_of, _Build, _canon, canonicalize, rewrap
 from .process import (
     DefinitionEnv,
     ExtChoice,
@@ -112,10 +113,7 @@ class NodeKind(enum.Enum):
 
 # layer walk ----------------------------------------------------------
 
-# The walks' memo keys in the table, ints that no definition name and no
-# node's key tuple equals; memo entries (module docstring): no entry, and
-# a node met once.
-_LAYER_MEMO, _ND_MEMO, _PROB_MEMO, _ACT_MEMO = range(4)
+# Memo entries (module docstring): no entry, and a node met once.
 _NEW, _ONCE = object(), object()
 _ND = (NodeKind.ND_UNSTABLE, ())
 _PROB = (NodeKind.PROB_UNSTABLE, ())
@@ -161,8 +159,9 @@ def classify(p: Process, env: DefinitionEnv) -> NodeKind:
     """Which layer applies to the canonical form of ``p``, checked in
     the fixed dispatch order: nd-unstable, else prob-unstable, else
     terminated, else has timed moves, else deadlocked."""
-    p = canonicalize(p, env)
-    layer, offers = _layer(p, env._shared_terms().setdefault(_LAYER_MEMO, {}))
+    b = _build_of(env)
+    p = canonicalize(p, b)
+    layer, offers = _layer(p, b.layer)
     if layer is not None:
         return layer
     if type(p) is Nil:
@@ -173,9 +172,7 @@ def classify(p: Process, env: DefinitionEnv) -> NodeKind:
 # non-deterministic rules ---------------------------------------------
 
 
-def _nd(
-    p: Process, env: DefinitionEnv, terms: dict, memo: dict
-) -> list[tuple[str, Process]]:
+def _nd(p: Process, b: _Build, memo: dict) -> list[tuple[str, Process]]:
     """``(path, successor)`` per unguarded internal choice; empty for a
     deterministically stable ``p``."""
     kind = type(p)
@@ -188,11 +185,9 @@ def _nd(
     if seen is not _NEW and seen is not _ONCE:
         return seen
     left, right = p.left, p.right
-    out = [("L." + k, rewrap(p, env, terms, s, right))
-           for k, s in _nd(left, env, terms, memo)]
+    out = [("L." + k, rewrap(p, b, s, right)) for k, s in _nd(left, b, memo)]
     if kind is not Seq:
-        out += [("R." + k, rewrap(p, env, terms, left, s))
-                for k, s in _nd(right, env, terms, memo)]
+        out += [("R." + k, rewrap(p, b, left, s)) for k, s in _nd(right, b, memo)]
     memo[key] = out if seen is _ONCE else _ONCE
     return out
 
@@ -209,9 +204,9 @@ def nd_successors(
     stable operands are left untouched. Each successor is canonical.
     Raises ValueError for a deterministically stable ``p``.
     """
-    p = canonicalize(p, env)
-    terms = env._shared_terms()
-    out = _nd(p, env, terms, terms.setdefault(_ND_MEMO, {}))
+    b = _build_of(env)
+    p = canonicalize(p, b)
+    out = _nd(p, b, b.nd)
     if not out:
         raise ValueError("nd_successors requires a deterministically "
                          f"unstable process, got {p}")
@@ -222,7 +217,7 @@ def nd_successors(
 
 
 def _presolve(
-    p: Process, env: DefinitionEnv, terms: dict, memo: dict
+    p: Process, b: _Build, memo: dict
 ) -> list[tuple[float, Process]] | None:
     """``(weight, successor)`` per resolution of the unguarded prob
     choices; None if there is none, and the caller keeps ``p`` as is."""
@@ -236,21 +231,20 @@ def _presolve(
     if kind is ProbChoice:
         out: list[tuple[float, Process]] | None = []
         for w, branch in ((p.prob, p.left), (1.0 - p.prob, p.right)):
-            sub = _presolve(branch, env, terms, memo)
+            sub = _presolve(branch, b, memo)
             out.extend([(w, branch)] if sub is None else
                        [(w * ws, s) for ws, s in sub])
     elif kind is Seq:
-        left = _presolve(p.left, env, terms, memo)
-        out = None if left is None else [
-            (w, rewrap(p, env, terms, s)) for w, s in left]
+        left = _presolve(p.left, b, memo)
+        out = None if left is None else [(w, rewrap(p, b, s)) for w, s in left]
     elif kind is IntChoice:
         raise ValueError("probabilistic stability is only defined for "
                          "deterministically stable processes")
     else:
-        left = _presolve(p.left, env, terms, memo)
-        right = _presolve(p.right, env, terms, memo)
+        left = _presolve(p.left, b, memo)
+        right = _presolve(p.right, b, memo)
         out = None if left is None and right is None else [
-            (wl * wr, rewrap(p, env, terms, sl, sr))
+            (wl * wr, rewrap(p, b, sl, sr))
             for wl, sl in ([(1.0, p.left)] if left is None else left)
             for wr, sr in ([(1.0, p.right)] if right is None else right)
         ]
@@ -269,9 +263,9 @@ def prob_successors(
     probabilities, and the returned probabilities sum to 1 within
     PROB_TOLERANCE. Each successor is canonical.
     """
-    p = canonicalize(p, env)
-    terms = env._shared_terms()
-    out = _presolve(p, env, terms, terms.setdefault(_PROB_MEMO, {}))
+    b = _build_of(env)
+    p = canonicalize(p, b)
+    out = _presolve(p, b, b.prob)
     if out is None:
         raise ValueError("prob_successors requires a probabilistically "
                          f"unstable process, got {p}")
@@ -283,14 +277,11 @@ def prob_successors(
 # action rules --------------------------------------------------------
 
 
-def _act(
-    p: Process, env: DefinitionEnv, terms: dict, memo: dict
-) -> list[tuple[Action, Process]]:
+def _act(p: Process, b: _Build, memo: dict) -> list[tuple[Action, Process]]:
     kind = type(p)
     if kind is Prefix:
         # `_canon` itself, not a helper: one frame less per fired prefix.
-        return [(Action(p.action, p.rate),
-                 _canon(p.continuation, env, terms, False))]
+        return [(Action(p.action, p.rate), _canon(p.continuation, b, False))]
     if kind is Nil:
         return []
     key = id(p)
@@ -298,22 +289,19 @@ def _act(
     if seen is not _NEW and seen is not _ONCE:
         return seen
     if kind is ExtChoice:
-        out = _act(p.left, env, terms, memo) + _act(p.right, env, terms, memo)
+        out = _act(p.left, b, memo) + _act(p.right, b, memo)
     elif kind is Seq:
-        out = [(lbl, rewrap(p, env, terms, s))
-               for lbl, s in _act(p.left, env, terms, memo)]
+        out = [(lbl, rewrap(p, b, s)) for lbl, s in _act(p.left, b, memo)]
     elif kind is not Par:
         raise ValueError(f"action_successors requires a stable process, got {p}")
     else:
-        pmoves = _act(p.left, env, terms, memo)
-        qmoves = _act(p.right, env, terms, memo)
+        pmoves = _act(p.left, b, memo)
+        qmoves = _act(p.right, b, memo)
         sync, left, right = p.sync, p.left, p.right
-        out = [(a, rewrap(p, env, terms, s, right))
-               for a, s in pmoves if a.name not in sync]
-        out += [(a, rewrap(p, env, terms, left, s))
-                for a, s in qmoves if a.name not in sync]
+        out = [(a, rewrap(p, b, s, right)) for a, s in pmoves if a.name not in sync]
+        out += [(a, rewrap(p, b, left, s)) for a, s in qmoves if a.name not in sync]
         out += [
-            (Action(pl.name, min(pl.rate, ql.rate)), rewrap(p, env, terms, ps_, qs))
+            (Action(pl.name, min(pl.rate, ql.rate)), rewrap(p, b, ps_, qs))
             for pl, ps_ in pmoves if pl.name in sync
             for ql, qs in qmoves if ql.name == pl.name
         ]
@@ -337,5 +325,5 @@ def action_successors(
     canonical, so a fired prefix's continuation is unfolded, and a cycle
     of unguarded definitions there raises UnguardedRecursion.
     """
-    terms = env._shared_terms()
-    return _act(canonicalize(p, env), env, terms, terms.setdefault(_ACT_MEMO, {}))
+    b = _build_of(env)
+    return _act(canonicalize(p, b), b, b.act)

@@ -98,6 +98,16 @@ def gen_process(
     return Par(sync, left, right)
 
 
+def gen_program(rng: random.Random, depth: int = 3) -> str:
+    """Program text shaped like the benchmark corpus: VAR_ENV's
+    definitions and a ``main`` that runs two generated processes, which
+    may name them, in parallel on a sync set of two or three names."""
+    sync = ",".join(sorted(rng.sample(ACTIONS, rng.randint(2, 3))))
+    left, right = (gen_process(rng, depth, allow_var=True) for _ in range(2))
+    lines = [f"{name} = {body}" for name, body in VAR_ENV.bindings.items()]
+    return "\n".join(lines + [f"main = ({left}) ||{{{sync}}} ({right})"]) + "\n"
+
+
 def has_prob_choice(p: Process) -> bool:
     if isinstance(p, ProbChoice):
         return True

@@ -1,9 +1,12 @@
 """Transition rule families, stability dispatch and classification."""
 
+import gc
 import random
 from collections import Counter
 
 import pytest
+
+import rosa_lts.canonical
 
 from rosa_lts import (
     INF,
@@ -322,6 +325,7 @@ def test_entry_points_answer_for_the_canonical_form():
     # S1 turns 0;a.0 into a.0, and S4 orders the operands of '-'.
     p = parse_process_text("0;a.0")
     assert classify(p, EMPTY) == NodeKind.ACTION_ENABLED
+    assert classify(parse_process_text("0;0"), EMPTY) == NodeKind.SUCCESS
     assert action_successors(p, EMPTY) == [(Action("a", INF), NIL)]
     succ = nd_successors(parse_process_text("b.0-a.0"), EMPTY)
     assert succ == [(NdBranch("L"), a()), (NdBranch("R"), a("b"))]
@@ -337,20 +341,22 @@ def test_entry_points_answer_for_the_canonical_form():
         action_successors(parse_process_text("a.P"), parse_program("P = P"))
 
 
-def test_a_call_outside_a_build_makes_the_one_memo_it_uses(monkeypatch):
-    # Each call gets a table of its own, which holds only the memo of
-    # the walk it runs.
-    tables = []
-    shared_terms = DefinitionEnv._shared_terms
+def test_a_call_outside_a_build_makes_one_record(monkeypatch):
+    # Each call makes one build record of its own, dropped on return.
+    made = []
 
-    def spy(env):
-        tables.append(shared_terms(env))
-        return tables[-1]
+    class Spy(rosa_lts.canonical._Build):
+        __slots__ = ()
 
-    monkeypatch.setattr(DefinitionEnv, "_shared_terms", spy)
+        def __init__(self, env):
+            super().__init__(env)
+            made.append(type(env))
+
+    monkeypatch.setattr(rosa_lts.canonical, "_Build", Spy)
     p = parse_process_text("<a,1>.0 ||{} <b,1>.0")
     assert classify(p, EMPTY) == NodeKind.ACTION_ENABLED
+    assert made == [DefinitionEnv]
     assert len(action_successors(p, EMPTY)) == 2
-    assert len(tables) >= 2
-    for table in tables:
-        assert sum(type(key) is int for key in table) <= 1
+    assert made == [DefinitionEnv, DefinitionEnv]
+    gc.collect()
+    assert not [o for o in gc.get_objects() if type(o) is Spy]
