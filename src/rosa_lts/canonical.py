@@ -41,6 +41,14 @@ an unguarded position is marked on the (slotted) node as canonical.
 Such a term has no unguarded variable left, so it is a fixed point for
 any environment, and a later call returns it at once.
 
+The mark is the node's layer code, `STABLE`, `PROB` or `ND`, which the
+transition rules read instead of walking the node. It depends only on
+the node, so it is computed once, from the operands' codes: ``0`` and
+a prefix are stable, ``-`` is nd, ``;`` takes its left operand's code,
+``*{r}`` the larger operand code but at least prob, and ``+`` and
+``||{A}`` the larger. The larger code is the layer that resolves
+first.
+
 The transition rules build each successor canonical. Climbing back
 from the position that moved, they put each level's node back over its
 new canonical operands through `rewrap`, which applies S1-S4 to that
@@ -60,6 +68,7 @@ from .errors import UnguardedRecursion
 from .process import (
     NIL,
     DefinitionEnv,
+    IntChoice,
     Nil,
     Par,
     Prefix,
@@ -73,25 +82,30 @@ from .process import (
     shared,
 )
 
+#: The layer codes a canonical node's mark holds (module docstring).
+STABLE, PROB, ND = 1, 2, 3
+
 
 class _Build:
     """The state that one build shares, one dict per kind of key:
     ``nodes``, the table of shared nodes (`process.rebuild`); ``bodies``,
     each unfolded definition's canonical body by name, None while it is
-    rewritten; ``layer``, ``nd``, ``prob`` and ``act``, the four rule
-    walks' memos by node ``id`` (`semantics`). `build_lts` passes its
-    record for the environment to the entry points here and in
-    `semantics`; called with a `DefinitionEnv`, each makes a record for
-    that call. Nothing built outlives the record but through the result.
+    rewritten; ``offers``, ``nd``, ``prob`` and ``act``, the memos by
+    node ``id`` of the offers walk that tells a stable state's deadlock
+    from its action moves and of the three rule walks (`semantics`).
+    `build_lts` passes its record for the environment to the entry
+    points here and in `semantics`; called with a `DefinitionEnv`, each
+    makes a record for that call. Nothing built outlives the record but
+    through the result.
     """
 
-    __slots__ = ("env", "nodes", "bodies", "layer", "nd", "prob", "act")
+    __slots__ = ("env", "nodes", "bodies", "offers", "nd", "prob", "act")
 
     def __init__(self, env: DefinitionEnv) -> None:
         self.env = env
         self.nodes = {}
         self.bodies = {}
-        self.layer = {}
+        self.offers = {}
         self.nd = {}
         self.prob = {}
         self.act = {}
@@ -170,29 +184,30 @@ def _canon(p: Process, b: _Build, guarded: bool) -> Process:
             bodies[name] = q
         return q
     if kind is Nil:
-        q = p
+        q, layer = p, STABLE
     elif kind is Prefix:
         cont = _canon(p.continuation, b, True)
         q = p if cont is p.continuation else rebuild(b.nodes, p, cont)
+        layer = STABLE
     elif kind is Seq:
         left = _canon(p.left, b, guarded)
         if type(left) is Nil:
             # S1 exposes the right operand at this position.
-            q = _canon(p.right, b, guarded)
+            return _canon(p.right, b, guarded)
+        right = _canon(p.right, b, True)
+        if left is p.left and right is p.right:
+            q = p
         else:
-            right = _canon(p.right, b, True)
-            if left is p.left and right is p.right:
-                q = p
-            else:
-                q = rebuild(b.nodes, p, left, right)
+            q = rebuild(b.nodes, p, left, right)
+        layer = left._canonical
     elif kind is ProbChoice and (p.prob == 1.0 or p.prob == 0.0):
         # S5, before the dead operand is visited.
-        q = _canon(p.left if p.prob == 1.0 else p.right, b, guarded)
+        return _canon(p.left if p.prob == 1.0 else p.right, b, guarded)
     else:
         # S2-S4 on -, +, *{r} and ||{A}.
         return rewrap(p, b, _canon(p.left, b, guarded), _canon(p.right, b, guarded))
     if not guarded:
-        _set(q, "_canonical", True)
+        _set(q, "_canonical", layer)
     return q
 
 
@@ -216,7 +231,7 @@ def rewrap(
             # S1 exposes the right operand at this position.
             return _canon(p.right, b, False)
         q = rebuild(b.nodes, p, left, p.right)
-        _set(q, "_canonical", True)
+        _set(q, "_canonical", left._canonical)
         return q
     if left is p.left and right is p.right and p._canonical:
         return p
@@ -244,5 +259,7 @@ def rewrap(
         else:
             return left
     if left._canonical and right._canonical:
-        _set(q, "_canonical", True)
+        layer = max(left._canonical, right._canonical,
+                    PROB if kind is ProbChoice else STABLE)
+        _set(q, "_canonical", ND if kind is IntChoice else layer)
     return q

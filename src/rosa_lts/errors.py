@@ -14,37 +14,9 @@ class RosaError(Exception):
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
-class ParseError(RosaError):
-    """Malformed input text.
-
-    Positions are 1-based (line, column) into the source that was parsed.
-    """
-
-    def __init__(self, line: int, column: int, expected: str, found: str):
-        self.line = line
-        self.column = column
-        self.expected = expected
-        self.found = found
-        super().__init__(f"{line}:{column}: expected {expected}, found {found}")
-
-    @property
-    def position(self) -> tuple[int, int]:
-        return (self.line, self.column)
-
-
-class LexError(ParseError):
-    """A character that begins no token."""
-
-    def __init__(self, line: int, column: int, char: str):
-        super().__init__(line, column, "a token", repr(char))
-        self.char = char
-        self.args = (f"{line}:{column}: unexpected character {char!r}",)
-
-
-class ValidationError(RosaError):
-    """A literal that lexes fine but violates a value constraint
-    (probability outside [0,1], a rate that is not positive or that
-    overflows to infinity)."""
+class _SourceError(RosaError):
+    """An error at a 1-based (line, column) of the source that was
+    parsed."""
 
     def __init__(self, line: int, column: int, message: str):
         self.line = line
@@ -56,14 +28,36 @@ class ValidationError(RosaError):
         return (self.line, self.column)
 
 
-class DuplicateDefinition(RosaError):
+class ParseError(_SourceError):
+    """Malformed input text."""
+
+    def __init__(self, line: int, column: int, expected: str, found: str):
+        self.expected = expected
+        self.found = found
+        super().__init__(line, column, f"expected {expected}, found {found}")
+
+
+class LexError(ParseError):
+    """A character that begins no token."""
+
+    def __init__(self, line: int, column: int, char: str):
+        super().__init__(line, column, "a token", repr(char))
+        self.char = char
+        self.args = (f"{line}:{column}: unexpected character {char!r}",)
+
+
+class ValidationError(_SourceError):
+    """A literal that lexes fine but violates a value constraint
+    (probability outside [0,1], a rate that is not positive or that
+    overflows to infinity)."""
+
+
+class DuplicateDefinition(_SourceError):
     """The same process name bound twice in one program."""
 
     def __init__(self, name: str, line: int, column: int):
         self.name = name
-        self.line = line
-        self.column = column
-        super().__init__(f"{line}:{column}: duplicate definition of {name!r}")
+        super().__init__(line, column, f"duplicate definition of {name!r}")
 
 
 class UnboundVariable(RosaError):

@@ -155,10 +155,13 @@ class _Term(_Record):
 
     The two slots are caches that take no part in construction,
     equality, hashing or ``repr``: ``_key`` holds the node's printed
-    form once `pretty_print` has computed it, and ``_canonical`` marks
-    a node that `canonicalize` returned, so that later canonicalizations
-    can hand it back untouched. Each constructor empties both, once its
-    checks pass; they are then written only by those two functions.
+    form once `pretty_print` has computed it, and ``_canonical`` is
+    falsy when the node is not canonical and otherwise holds its layer
+    code (`canonical.STABLE`, `PROB` or `ND`), so that later
+    canonicalizations hand it back untouched and the transition rules
+    read its layer without a walk. Each constructor empties both, once
+    its checks pass; they are then written only by `pretty_print` and
+    by the canonical rewrite.
     """
 
     __slots__ = ("_key", "_canonical")

@@ -6,12 +6,14 @@ unguarded probabilistic choices (all at once, with product
 probabilities), and only a process stable under both runs timed actions.
 Every walk covers only the unguarded positions: operands of the choices
 and of parallel, and the left of ';' (the right is guarded by
-completion of the left). `classify` is the dispatcher, one walk that
-builds no term and yields the layer and the actions a stable state can
-fire. The three `*_successors` functions are the rule families, each
-one linear walk that leaves stable operands as written. A joint move
-takes the plain ``min`` of its two rates, whose identity is the passive
-rate `INF`.
+completion of the left). A canonical node's mark holds its layer
+(`canonical`), so `classify`, the dispatcher, reads the layer there and
+walks only a stable state, for the actions it can fire, to tell a
+deadlock from a state that moves. The three `*_successors` functions
+are the rule families: each checks the mark of its argument once, then
+makes one linear walk that enters only the operands marked with its
+layer and leaves the others as written. A joint move takes the plain
+``min`` of its two rates, whose identity is the passive rate `INF`.
 
 The rules read canonical terms and return canonical successors. Each
 entry point first canonicalizes its argument, which returns an already
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import enum
 
-from .canonical import _build_of, _Build, _canon, canonicalize, rewrap
+from .canonical import ND, PROB, STABLE, _build_of, _Build, _canon, canonicalize, rewrap
 from .process import (
     DefinitionEnv,
     ExtChoice,
@@ -111,46 +113,33 @@ class NodeKind(enum.Enum):
     SUCCESS = "success"
 
 
-# layer walk ----------------------------------------------------------
+# offers walk ---------------------------------------------------------
 
 # Memo entries (module docstring): no entry, and a node met once.
 _NEW, _ONCE = object(), object()
-_ND = (NodeKind.ND_UNSTABLE, ())
-_PROB = (NodeKind.PROB_UNSTABLE, ())
 
 
-def _layer(p: Process, memo: dict) -> tuple[NodeKind | None, tuple[str, ...]]:
-    """``(layer, offers)``: ND_UNSTABLE, PROB_UNSTABLE or None (stable),
-    and the action names a stable ``p`` can fire. An nd left operand
-    ends the walk: the right is not visited."""
+def _offers(p: Process, memo: dict) -> tuple[str, ...]:
+    """The action names a stable ``p`` can fire."""
     kind = type(p)
     if kind is Prefix:
-        return None, (p.action,)
+        return (p.action,)
     if kind is Nil:
-        return None, ()
-    if kind is IntChoice:
-        return _ND
+        return ()
     key = id(p)
     seen = memo.get(key, _NEW)
     if seen is not _NEW and seen is not _ONCE:
         return seen
+    left = _offers(p.left, memo)
     if kind is Seq:
-        out = _layer(p.left, memo)
+        out = left
     else:
-        left, left_offers = _layer(p.left, memo)
-        right, right_offers = (_ND if left is NodeKind.ND_UNSTABLE
-                               else _layer(p.right, memo))
-        if left is NodeKind.ND_UNSTABLE or right is NodeKind.ND_UNSTABLE:
-            out = _ND
-        elif kind is ProbChoice or left is not None or right is not None:
-            out = _PROB
-        else:
-            offers = left_offers + right_offers
-            if kind is Par and p.sync:
-                # A name in the sync set fires only if both sides offer it.
-                offers = tuple(n for n in offers if n not in p.sync
-                               or (n in left_offers and n in right_offers))
-            out = None, offers
+        right = _offers(p.right, memo)
+        out = left + right
+        if kind is Par and p.sync:
+            # A name in the sync set fires only if both sides offer it.
+            out = tuple(n for n in out if n not in p.sync
+                        or (n in left and n in right))
     memo[key] = out if seen is _ONCE else _ONCE
     return out
 
@@ -161,32 +150,34 @@ def classify(p: Process, env: DefinitionEnv) -> NodeKind:
     terminated, else has timed moves, else deadlocked."""
     b = _build_of(env)
     p = canonicalize(p, b)
-    layer, offers = _layer(p, b.layer)
-    if layer is not None:
-        return layer
+    layer = p._canonical
+    if layer == ND:
+        return NodeKind.ND_UNSTABLE
+    if layer == PROB:
+        return NodeKind.PROB_UNSTABLE
     if type(p) is Nil:
         return NodeKind.SUCCESS
-    return NodeKind.ACTION_ENABLED if offers else NodeKind.DEADLOCK
+    return NodeKind.ACTION_ENABLED if _offers(p, b.offers) else NodeKind.DEADLOCK
 
 
 # non-deterministic rules ---------------------------------------------
 
 
 def _nd(p: Process, b: _Build, memo: dict) -> list[tuple[str, Process]]:
-    """``(path, successor)`` per unguarded internal choice; empty for a
-    deterministically stable ``p``."""
+    """``(path, successor)`` per unguarded internal choice of an
+    nd-unstable ``p``; its other operands are left as they are."""
     kind = type(p)
     if kind is IntChoice:
         return [("L", p.left), ("R", p.right)]
-    if kind is Prefix or kind is Nil:
-        return []
     key = id(p)
     seen = memo.get(key, _NEW)
     if seen is not _NEW and seen is not _ONCE:
         return seen
     left, right = p.left, p.right
-    out = [("L." + k, rewrap(p, b, s, right)) for k, s in _nd(left, b, memo)]
-    if kind is not Seq:
+    out = []
+    if left._canonical == ND:
+        out += [("L." + k, rewrap(p, b, s, right)) for k, s in _nd(left, b, memo)]
+    if kind is not Seq and right._canonical == ND:
         out += [("R." + k, rewrap(p, b, left, s)) for k, s in _nd(right, b, memo)]
     memo[key] = out if seen is _ONCE else _ONCE
     return out
@@ -206,47 +197,39 @@ def nd_successors(
     """
     b = _build_of(env)
     p = canonicalize(p, b)
-    out = _nd(p, b, b.nd)
-    if not out:
+    if p._canonical != ND:
         raise ValueError("nd_successors requires a deterministically "
                          f"unstable process, got {p}")
-    return [(NdBranch(path), s) for path, s in out]
+    return [(NdBranch(path), s) for path, s in _nd(p, b, b.nd)]
 
 
 # probabilistic rules -------------------------------------------------
 
 
-def _presolve(
-    p: Process, b: _Build, memo: dict
-) -> list[tuple[float, Process]] | None:
+def _presolve(p: Process, b: _Build, memo: dict) -> list[tuple[float, Process]]:
     """``(weight, successor)`` per resolution of the unguarded prob
-    choices; None if there is none, and the caller keeps ``p`` as is."""
-    kind = type(p)
-    if kind is Prefix or kind is Nil:
-        return None
+    choices of a prob-unstable ``p``; its stable operands are kept as
+    they are."""
     key = id(p)
     seen = memo.get(key, _NEW)
     if seen is not _NEW and seen is not _ONCE:
         return seen
+    kind = type(p)
     if kind is ProbChoice:
-        out: list[tuple[float, Process]] | None = []
+        out = []
         for w, branch in ((p.prob, p.left), (1.0 - p.prob, p.right)):
-            sub = _presolve(branch, b, memo)
-            out.extend([(w, branch)] if sub is None else
-                       [(w * ws, s) for ws, s in sub])
+            out += ([(w * ws, s) for ws, s in _presolve(branch, b, memo)]
+                    if branch._canonical == PROB else [(w, branch)])
     elif kind is Seq:
-        left = _presolve(p.left, b, memo)
-        out = None if left is None else [(w, rewrap(p, b, s)) for w, s in left]
-    elif kind is IntChoice:
-        raise ValueError("probabilistic stability is only defined for "
-                         "deterministically stable processes")
+        out = [(w, rewrap(p, b, s)) for w, s in _presolve(p.left, b, memo)]
     else:
-        left = _presolve(p.left, b, memo)
-        right = _presolve(p.right, b, memo)
-        out = None if left is None and right is None else [
+        left, right = p.left, p.right
+        out = [
             (wl * wr, rewrap(p, b, sl, sr))
-            for wl, sl in ([(1.0, p.left)] if left is None else left)
-            for wr, sr in ([(1.0, p.right)] if right is None else right)
+            for wl, sl in (_presolve(left, b, memo)
+                           if left._canonical == PROB else [(1.0, left)])
+            for wr, sr in (_presolve(right, b, memo)
+                           if right._canonical == PROB else [(1.0, right)])
         ]
     memo[key] = out if seen is _ONCE else _ONCE
     return out
@@ -265,13 +248,12 @@ def prob_successors(
     """
     b = _build_of(env)
     p = canonicalize(p, b)
-    out = _presolve(p, b, b.prob)
-    if out is None:
+    if p._canonical != PROB:
         raise ValueError("prob_successors requires a probabilistically "
                          f"unstable process, got {p}")
     # A zero branch, or a product of small weights that underflows,
     # leaves no successor.
-    return [(Prob(w), s) for w, s in out if w > 0.0]
+    return [(Prob(w), s) for w, s in _presolve(p, b, b.prob) if w > 0.0]
 
 
 # action rules --------------------------------------------------------
@@ -292,8 +274,6 @@ def _act(p: Process, b: _Build, memo: dict) -> list[tuple[Action, Process]]:
         out = _act(p.left, b, memo) + _act(p.right, b, memo)
     elif kind is Seq:
         out = [(lbl, rewrap(p, b, s)) for lbl, s in _act(p.left, b, memo)]
-    elif kind is not Par:
-        raise ValueError(f"action_successors requires a stable process, got {p}")
     else:
         pmoves = _act(p.left, b, memo)
         qmoves = _act(p.right, b, memo)
@@ -326,4 +306,7 @@ def action_successors(
     of unguarded definitions there raises UnguardedRecursion.
     """
     b = _build_of(env)
-    return _act(canonicalize(p, b), b, b.act)
+    p = canonicalize(p, b)
+    if p._canonical != STABLE:
+        raise ValueError(f"action_successors requires a stable process, got {p}")
+    return _act(p, b, b.act)

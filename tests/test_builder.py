@@ -157,6 +157,14 @@ def test_growing_states_stop_at_the_text_budget(monkeypatch):
     assert lts.truncated and [n.key for n in lts.nodes] == ["<c,0.5>.(X;0)"]
 
 
+def test_states_nested_deeper_than_the_recursion_limit_build():
+    # Each state is the last one under one more ';', 1,500 deep at the
+    # end; every walk meets the level below it from its memo.
+    lts = build_lts(parse_program("X = <c,0.5>.(X;0)"), BuildConfig(max_states=1500))
+    assert lts.truncated and len(lts.nodes) == 1500
+    assert sys.getrecursionlimit() < 1500
+
+
 def test_unbound_variable_surfaces():
     env = DefinitionEnv(bindings={"main": Var("GHOST")})
     with pytest.raises(UnboundVariable):
@@ -348,10 +356,10 @@ def test_check_reads_each_definition_at_most_twice(monkeypatch):
     assert max(calls.values()) <= 2
 
 
-# Each rule walk, and the kind of the states its entry point is called
-# on: `classify` walks every state.
+# Each walk, and the kind of the states its entry point is called on:
+# `classify` walks a stable state's offers.
 WALKS = {
-    "_layer": None,
+    "_offers": NodeKind.ACTION_ENABLED,
     "_nd": NodeKind.ND_UNSTABLE,
     "_presolve": NodeKind.PROB_UNSTABLE,
     "_act": NodeKind.ACTION_ENABLED,

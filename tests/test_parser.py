@@ -254,9 +254,10 @@ def test_parse_program_bare_line_becomes_main_root():
 
 def test_parse_program_duplicate_definition():
     with pytest.raises(DuplicateDefinition) as err:
-        parse_program("P = a.0\nP = b.0\n")
+        parse_program("P = a.0\n  P = b.0\n")
     assert err.value.name == "P"
-    assert err.value.line == 2
+    # The source position, read as for a parse or validation error.
+    assert (err.value.line, err.value.column) == err.value.position == (2, 3)
 
 
 def test_parse_program_error_positions_use_file_lines():

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import rosa_lts.canonical
+import rosa_lts.semantics
 
 from rosa_lts import (
     INF,
@@ -278,6 +279,32 @@ def test_classification_order():
         classify(IntChoice(ProbChoice(0.5, a(), a()), NIL), EMPTY)
         == NodeKind.ND_UNSTABLE
     )
+
+
+@pytest.mark.parametrize("source,kind", [
+    ("b.0-a.0", NodeKind.ND_UNSTABLE),
+    ("(a.0||{}(b.0-c.0))+d.0", NodeKind.ND_UNSTABLE),
+    ("((a.0*{0.5}b.0)-c.0);d.0", NodeKind.ND_UNSTABLE),
+    ("a.0*{0.3}b.0", NodeKind.PROB_UNSTABLE),
+    ("(a.0||{a}(b.0*{0.5}c.0))+d.0", NodeKind.PROB_UNSTABLE),
+    ("(a.0+(b.0*{0.5}c.0));d.0", NodeKind.PROB_UNSTABLE),
+])
+def test_classify_reads_an_unstable_layer_from_the_mark(monkeypatch, source, kind):
+    # The layer is stored on each canonical node, so only a stable state
+    # is walked, to tell a deadlock from a state with action moves.
+    calls = []
+    offers = rosa_lts.semantics._offers
+
+    def spy(p, memo):
+        calls.append(p)
+        return offers(p, memo)
+
+    monkeypatch.setattr(rosa_lts.semantics, "_offers", spy)
+    p = canonicalize(parse_process_text(source), EMPTY)
+    assert classify(p, EMPTY) == kind
+    assert calls == []
+    assert classify(parse_process_text("a.0||{a}0"), EMPTY) == NodeKind.DEADLOCK
+    assert calls
 
 
 FAMILIES = {
