@@ -149,7 +149,8 @@ def _explore(build: _Build, root: Process, max_states: int) -> Lts:
             else:
                 edges[label, target] = None
         if prob:
-            lts.edges.extend(LtsEdge(node.id, t, Prob(p)) for t, p in edges.items())
+            lts.edges.extend(LtsEdge(node.id, t, build.labels[Prob, p])
+                             for t, p in edges.items())
         else:
             lts.edges.extend(LtsEdge(node.id, t, label) for label, t in edges)
         if lts.truncated:

@@ -86,20 +86,34 @@ from .process import (
 STABLE, PROB, ND = 1, 2, 3
 
 
+class _Labels(dict):
+    """Transition labels by ``(class, *fields)``. A missing one is made
+    by its class's checking constructor and kept, so each distinct label
+    is checked once and one object serves every equal label; the class
+    in the key keeps labels of two classes apart."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> object:
+        label = self[key] = key[0](*key[1:])
+        return label
+
+
 class _Build:
     """The state that one build shares, one dict per kind of key:
     ``nodes``, the table of shared nodes (`process.rebuild`); ``bodies``,
     each unfolded definition's canonical body by name, None while it is
     rewritten; ``offers``, ``nd``, ``prob`` and ``act``, the memos by
     node ``id`` of the offers walk that tells a stable state's deadlock
-    from its action moves and of the three rule walks (`semantics`).
+    from its action moves and of the three rule walks (`semantics`);
+    ``labels``, every transition label the build emits (`_Labels`).
     `build_lts` passes its record for the environment to the entry
     points here and in `semantics`; called with a `DefinitionEnv`, each
     makes a record for that call. Nothing built outlives the record but
     through the result.
     """
 
-    __slots__ = ("env", "nodes", "bodies", "offers", "nd", "prob", "act")
+    __slots__ = ("env", "nodes", "bodies", "offers", "nd", "prob", "act", "labels")
 
     def __init__(self, env: DefinitionEnv) -> None:
         self.env = env
@@ -109,6 +123,7 @@ class _Build:
         self.nd = {}
         self.prob = {}
         self.act = {}
+        self.labels = _Labels()
 
 
 def _build_of(env: DefinitionEnv | _Build) -> _Build:

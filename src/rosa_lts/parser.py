@@ -9,7 +9,8 @@ action constant (``a`` meaning ``a.0``); a lone expression takes every
 one as a variable.
 
 The lexer keeps tokens' kinds and lexemes; their positions are computed
-again from the text only for a diagnostic.
+again from the text only for a diagnostic. The parser checks each field
+once, as it reads it, and builds its nodes unchecked (`_Parser`).
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from .process import (
     DefinitionEnv,
     ExtChoice,
     IntChoice,
-    Par,
-    Prefix,
-    ProbChoice,
     Process,
     Seq,
-    Var,
+    _binary,
+    _par,
+    _prefix,
+    _prob_choice,
+    _var,
     is_valid_name,
 )
 
@@ -59,9 +61,11 @@ _STARTS = dict.fromkeys("0123456789", NUMBER) | dict.fromkeys(
 
 # Each binary operator's binding level, loosest first, constructor and
 # fields before the operands; `_Parser.parse_operator` reads the fields
-# of "||" and "*".
-_OPERATORS = {";": (0, Seq, ()), "||": (1, Par, ()), "-": (2, IntChoice, ()),
-              "+": (2, ExtChoice, ()), "*": (2, ProbChoice, ())}
+# of "||" and "*". The constructors are the trusted ones of `process`:
+# the parser has checked every field they get (`_Parser`).
+_OPERATORS = {";": (0, _binary, (Seq,)), "||": (1, _par, ()),
+              "-": (2, _binary, (IntChoice,)), "+": (2, _binary, (ExtChoice,)),
+              "*": (2, _prob_choice, ())}
 
 
 def _scan(source: str, first_line: int) -> tuple[list[str], list[str]]:
@@ -116,6 +120,12 @@ class _Parser:
     (see `parse_full_process`). A rated head as the atom is ``<a,r>.0``;
     an IDENT as the atom is a variable if it is in ``defined``, else the
     action constant ``a.0``.
+
+    Nodes are made by the trusted constructors of `process`, which
+    check nothing, since every field is checked here once: a name is an
+    IDENT lexeme, which is a valid name (``inf`` is a kind of its own),
+    a sync set holds IDENT lexemes, a rate comes through `parse_rate`
+    and a weight through `parse_probability`.
     """
 
     def __init__(self, source: str, first_line: int = 1, start: int = 0,
@@ -173,7 +183,7 @@ class _Parser:
                 continue
             while True:
                 for action, rate in reversed(heads):
-                    p = Prefix(action, rate, p)
+                    p = _prefix(action, rate, p)
                 op = self.parse_operator()
                 # An operator applies the waiting ones that bind at least
                 # as tightly (";" only the tighter ones: it folds right);
@@ -208,8 +218,8 @@ class _Parser:
                     continue
                 self.pos = pos + 1
                 if self.defined is None or name in self.defined:
-                    return Var(name)
-                return Prefix(name, INF, NIL)
+                    return _var(name)
+                return _prefix(name, INF, NIL)
             if kind == "<":
                 self.pos = pos + 1
                 action = self.expect(IDENT, "an action name")
@@ -235,7 +245,7 @@ class _Parser:
             return None
         level, node, _ = op
         self.pos += 1
-        if node is Par:
+        if node is _par:
             self.expect("{", "'{' after '||'")
             names: list[str] = []
             if kinds[self.pos] == IDENT:
@@ -245,7 +255,7 @@ class _Parser:
                     names.append(self.expect(IDENT, "an action name"))
             self.expect("}", "'}' closing the synchronization set")
             return level, node, (frozenset(names),)
-        if node is ProbChoice:
+        if node is _prob_choice:
             self.expect("{", "'{' after '*'")
             prob = self.parse_probability()
             self.expect("}", "'}' after the probability")

@@ -11,12 +11,19 @@ of a synchronization.
 Nodes are instances of hand-written classes on one small base,
 `_Record`, which also serves the labels and the LTS records. They are
 frozen and slotted, so callers cannot attach attributes to them. Each
-constructor checks its own fields and sets its slots itself, and each
-class compares and hashes its fields through one getter made for it
-when the class is created. Each node's printed form is
+public constructor checks its own fields and sets its slots itself, and
+each class compares and hashes its fields through one getter made for
+it when the class is created. Each node's printed form is
 computed once, from its children's printed forms, and cached on the
 node; printing a tree again, or a new tree built around already printed
 subtrees, renders only the new nodes.
+
+A field is checked once, where it enters the package. The parser checks
+each name, rate and weight as it reads it, and `rebuild` and `shared`
+copy fields of nodes that were checked when they were made, so these
+three build their nodes through private trusted constructors (`_var`,
+`_prefix`, `_binary`, `_prob_choice` and `_par`), which set the slots
+and check nothing.
 
 Nodes that a build constructs are shared: the canonical rewrite, which
 the transition rules call to build each successor canonical, takes
@@ -26,10 +33,9 @@ scalar fields on new children (and through `shared` for the two
 reweighted probabilistic choices of canonicalization). The table is
 keyed by constructor, by the scalar fields and by the ``id`` of each
 child, so a node built again from the same children comes back as the
-same object, with its printed form and canonical mark already cached,
-and a constructor checks its fields once per distinct node. Equality
-stays structural: nodes parsed from the source never enter the table,
-and equal subterms parsed separately remain distinct objects.
+same object, with its printed form and canonical mark already cached.
+Equality stays structural: nodes parsed from the source never enter
+the table, and equal subterms parsed separately remain distinct objects.
 """
 
 from __future__ import annotations
@@ -277,6 +283,75 @@ class Par(_Term):
 
 Process = Nil | Var | Prefix | Seq | IntChoice | ExtChoice | ProbChoice | Par
 
+
+# Trusted construction (module docstring), for the parser, `rebuild` and
+# `shared`, whose fields are checked already. Each sets the slots
+# through their descriptors, without a check and without the name
+# lookup of ``object.__setattr__``.
+
+_new = object.__new__
+
+
+def _setters(cls: type) -> list:
+    return [cls.__dict__[name].__set__ for name in cls.__slots__]
+
+
+_set_key, _set_canonical = _setters(_Term)
+(_set_name,) = _setters(Var)
+_set_action, _set_rate, _set_continuation = _setters(Prefix)
+_set_left, _set_right = _setters(_Binary)
+_set_prob, _set_prob_left, _set_prob_right = _setters(ProbChoice)
+_set_sync, _set_par_left, _set_par_right = _setters(Par)
+
+
+def _var(name: str) -> Var:
+    node = _new(Var)
+    _set_name(node, name)
+    _set_key(node, None)
+    _set_canonical(node, False)
+    return node
+
+
+def _prefix(action: str, rate: float, continuation: Process) -> Prefix:
+    node = _new(Prefix)
+    _set_action(node, action)
+    _set_rate(node, rate)
+    _set_continuation(node, continuation)
+    _set_key(node, None)
+    _set_canonical(node, False)
+    return node
+
+
+def _binary(kind: type, left: Process, right: Process) -> Process:
+    """A `Seq`, `IntChoice` or `ExtChoice`, as ``kind`` says."""
+    node = _new(kind)
+    _set_left(node, left)
+    _set_right(node, right)
+    _set_key(node, None)
+    _set_canonical(node, False)
+    return node
+
+
+def _prob_choice(prob: float, left: Process, right: Process) -> ProbChoice:
+    node = _new(ProbChoice)
+    _set_prob(node, prob)
+    _set_prob_left(node, left)
+    _set_prob_right(node, right)
+    _set_key(node, None)
+    _set_canonical(node, False)
+    return node
+
+
+def _par(sync: frozenset[str], left: Process, right: Process) -> Par:
+    node = _new(Par)
+    _set_sync(node, sync)
+    _set_par_left(node, left)
+    _set_par_right(node, right)
+    _set_key(node, None)
+    _set_canonical(node, False)
+    return node
+
+
 #: The terminated process; all ``Nil()`` instances compare equal.
 NIL = Nil()
 
@@ -330,23 +405,27 @@ def rebuild(
         key = (kind, None, id(left), id(right))
     node = nodes.get(key)
     if node is None:
-        if kind is Prefix:
-            node = Prefix(p.action, p.rate, left)
-        elif key[1] is None:
-            node = kind(left, right)
+        # ``p``'s fields were checked when it was made.
+        if kind is Par:
+            node = _par(p.sync, left, right)
+        elif kind is ProbChoice:
+            node = _prob_choice(p.prob, left, right)
+        elif kind is Prefix:
+            node = _prefix(p.action, p.rate, left)
         else:
-            node = kind(key[1], left, right)
+            node = _binary(kind, left, right)
         nodes[key] = node
     return node
 
 
 def shared(nodes: dict, prob: float, left: Process, right: Process) -> Process:
     """``ProbChoice(prob, left, right)`` from ``nodes``, as `rebuild`
-    would give it, for a weight that no node to copy carries."""
+    would give it, for a weight that no node to copy carries: 0.5, or
+    1-r of a checked r, so it is not checked again."""
     key = (ProbChoice, prob, id(left), id(right))
     node = nodes.get(key)
     if node is None:
-        node = nodes[key] = ProbChoice(prob, left, right)
+        node = nodes[key] = _prob_choice(prob, left, right)
     return node
 
 

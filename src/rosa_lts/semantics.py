@@ -40,6 +40,12 @@ canonical node and the record's environment and node table, which one
 build holds fixed, and no id is reused while the record lives, as an
 admitted state or the node table holds every node a walk reads. The
 builder only iterates a cached list.
+
+Every label a rule emits comes from the record's label table
+(`canonical._Labels`), keyed by class and fields, as does the summed
+`Prob` of each edge the builder merges. A build thus makes each
+distinct label once, through its checking constructor, and every move
+with that label holds the same object.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from .process import (
     Seq,
     _Record,
     _check_name,
+    _number,
     _rate,
     _set,
 )
@@ -85,10 +92,11 @@ class Prob(_Record):
     __slots__ = __match_args__ = ("p",)
 
     def __init__(self, p: float) -> None:
+        value = _number(p, "probability")
         # Merged parallel branches can overshoot 1 by float error.
-        if not (0.0 < p <= 1.0 + PROB_TOLERANCE):
-            raise ValueError(f"probability out of (0,1]: {p!r}")
-        _set(self, "p", float(p))
+        if not (0.0 < value <= 1.0 + PROB_TOLERANCE):
+            raise ValueError(f"probability out of (0,1]: {value!r}")
+        _set(self, "p", value)
 
 
 class Action(_Record):
@@ -200,7 +208,7 @@ def nd_successors(
     if p._canonical != ND:
         raise ValueError("nd_successors requires a deterministically "
                          f"unstable process, got {p}")
-    return [(NdBranch(path), s) for path, s in _nd(p, b, b.nd)]
+    return [(b.labels[NdBranch, path], s) for path, s in _nd(p, b, b.nd)]
 
 
 # probabilistic rules -------------------------------------------------
@@ -253,7 +261,7 @@ def prob_successors(
                          f"unstable process, got {p}")
     # A zero branch, or a product of small weights that underflows,
     # leaves no successor.
-    return [(Prob(w), s) for w, s in _presolve(p, b, b.prob) if w > 0.0]
+    return [(b.labels[Prob, w], s) for w, s in _presolve(p, b, b.prob) if w > 0.0]
 
 
 # action rules --------------------------------------------------------
@@ -263,7 +271,7 @@ def _act(p: Process, b: _Build, memo: dict) -> list[tuple[Action, Process]]:
     kind = type(p)
     if kind is Prefix:
         # `_canon` itself, not a helper: one frame less per fired prefix.
-        return [(Action(p.action, p.rate), _canon(p.continuation, b, False))]
+        return [(b.labels[Action, p.action, p.rate], _canon(p.continuation, b, False))]
     if kind is Nil:
         return []
     key = id(p)
@@ -281,7 +289,7 @@ def _act(p: Process, b: _Build, memo: dict) -> list[tuple[Action, Process]]:
         out = [(a, rewrap(p, b, s, right)) for a, s in pmoves if a.name not in sync]
         out += [(a, rewrap(p, b, left, s)) for a, s in qmoves if a.name not in sync]
         out += [
-            (Action(pl.name, min(pl.rate, ql.rate)), rewrap(p, b, ps_, qs))
+            (b.labels[Action, pl.name, min(pl.rate, ql.rate)], rewrap(p, b, ps_, qs))
             for pl, ps_ in pmoves if pl.name in sync
             for ql, qs in qmoves if ql.name == pl.name
         ]

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from rosa_lts import (
     DefinitionEnv,
     ExtChoice,
     IntChoice,
+    NdBranch,
     Nil,
     NodeKind,
     Par,
@@ -423,6 +425,30 @@ def test_a_build_keeps_no_node_once_it_returns():
     two = build_lts(env)
     assert [n.key for n in one.nodes] == [n.key for n in two.nodes]
     assert all(a.process is not b.process for a, b in zip(one.nodes, two.nodes))
+
+
+def _shares_each_label(lts) -> bool:
+    labels = [edge.label for edge in lts.edges]
+    return len({id(label) for label in labels}) == len(set(labels))
+
+
+def test_equal_labels_of_one_build_are_one_object():
+    # The build's label table makes each distinct label once: on the
+    # case study, and on generated programs, whose labels of all three
+    # classes repeat.
+    env = parse_program((Path(__file__).parent / "data" / "case_study.rosa").read_text())
+    one = build_lts(env)
+    rng = random.Random(67)
+    builds = [build_lts(parse_program(gen_program(rng)), BuildConfig(max_states=500))
+              for _ in range(5)]
+    for lts in [one] + builds:
+        assert _shares_each_label(lts)
+    repeated = {type(label) for lts in [one] + builds
+                for label, count in Counter(e.label for e in lts.edges).items() if count > 1}
+    assert repeated == {Action, NdBranch, Prob}
+    # The table belongs to its build: another build makes its own labels.
+    two = build_lts(env)
+    assert not {id(e.label) for e in one.edges} & {id(e.label) for e in two.edges}
 
 
 def test_a_failed_build_frees_what_it_built():

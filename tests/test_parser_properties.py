@@ -25,6 +25,7 @@ from rosa_lts import (
     pretty_print,
 )
 from rosa_lts.parser import IDENT, _Parser, _positions, _scan
+from rosa_lts.process import is_valid_name
 
 from reference_lexer import reference_scan
 from reference_parser import ReferenceParser
@@ -127,6 +128,27 @@ def test_the_scan_and_its_positions_are_the_reference_lexer(pieces, first_line):
     assert scanned(scan_with_positions, source, first_line) == scanned(
         reference_scan, source, first_line
     )
+
+
+# Text around what no name may be: non-ASCII letters, which Python
+# takes in identifiers, a digit first, and the keyword "inf".
+NAME_PIECES = ["a", "Z", "_", "inf", "infx", "_inf", "0", "7", "12", "0.5",
+               "\u00e9", "\u00df", "\u03a9", "\u00aa", "\uff41", "\u212a", "# \u00e9",
+               " ", "\n", ".", ",", "<", ">"]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.lists(st.sampled_from(NAME_PIECES), max_size=12))
+def test_every_ident_lexeme_is_a_valid_name(pieces):
+    # The parser builds its nodes unchecked: every IDENT it reads is a
+    # name that the checking constructors accept, and it reads every
+    # such name as an IDENT.
+    try:
+        kinds, lexemes = _scan("".join(pieces), 1)
+    except LexError:
+        return
+    for kind, lexeme in zip(kinds, lexemes):
+        assert (kind == IDENT) == is_valid_name(lexeme), lexeme
 
 
 class KeptPositionsParser(_Parser):

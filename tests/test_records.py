@@ -207,6 +207,14 @@ def test_round_tripped_nodes_print_and_build():
         assert build_lts(again) == build_lts(env)
 
 
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "str"])
+def test_a_probability_label_takes_a_number_only(value):
+    # As ProbChoice's weight and Action's rate: a bool is no number,
+    # and a string is not converted.
+    with pytest.raises(ValueError):
+        Prob(value)
+
+
 # the generic base ------------------------------------------------------------
 
 _set = object.__setattr__
