@@ -138,6 +138,9 @@ def _explore(build: _Build, root: Process, max_states: int) -> Lts:
         # Probabilistic branches into one state merge into one edge with
         # the summed mass; other repeated (label, target) pairs, which
         # symmetric operands such as a.0 ||{} a.0 produce, keep one edge.
+        # Equal labels of one build are one object (`build.labels`), so
+        # the label's id stands for its value in the key and no label is
+        # hashed.
         edges: dict = {}
         for label, produced in successors:
             target = admit(produced)
@@ -147,12 +150,13 @@ def _explore(build: _Build, root: Process, max_states: int) -> Lts:
             if prob:
                 edges[target] = edges.get(target, 0.0) + label.p
             else:
-                edges[label, target] = None
+                edges[id(label), target] = label
         if prob:
             lts.edges.extend(LtsEdge(node.id, t, build.labels[Prob, p])
                              for t, p in edges.items())
         else:
-            lts.edges.extend(LtsEdge(node.id, t, label) for label, t in edges)
+            lts.edges.extend(LtsEdge(node.id, t, label)
+                             for (_, t), label in edges.items())
         if lts.truncated:
             break
     return lts

@@ -3,6 +3,8 @@ and JSON. All three are byte-deterministic for a given graph."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .builder import Lts, stats
 from .process import INF, INF_KEYWORD, _Record, _set, format_number
 from .semantics import Action, NdBranch, NodeKind, Prob, TransitionLabel
@@ -33,20 +35,31 @@ def label_text(label: TransitionLabel) -> str:
     raise TypeError(f"not a transition label: {label!r}")
 
 
+def _once(render: Callable[[TransitionLabel], str]) -> Callable[[TransitionLabel], str]:
+    """``render`` run once per label object in one export call. The memo
+    is keyed by ``id``, which hashes in C where a label's own hash runs
+    Python; the `Lts` holds every label for the call, so no id is reused."""
+    memo: dict[int, str] = {}
+
+    def rendered(label: TransitionLabel) -> str:
+        text = memo.get(id(label))
+        if text is None:
+            text = memo[id(label)] = render(label)
+        return text
+
+    return rendered
+
+
 def to_text(lts: Lts, opts: ExportOptions | None = None) -> str:
     """Node lines `#id [kind] expr`, then edge lines
     `#src -label-> #dst`, then a stats block."""
     opts = opts or ExportOptions()
-    lines = []
-    for node in lts.nodes:
-        if opts.node_labels == "id":
-            lines.append(f"#{node.id} [{node.kind.value}]")
-        else:
-            lines.append(f"#{node.id} [{node.kind.value}] {node.key}")
-    for edge in lts.edges:
-        lines.append(
-            f"#{edge.source} -{label_text(edge.label)}-> #{edge.target}"
-        )
+    if opts.node_labels == "id":
+        lines = [f"#{n.id} [{n.kind.value}]" for n in lts.nodes]
+    else:
+        lines = [f"#{n.id} [{n.kind.value}] {n.key}" for n in lts.nodes]
+    text = _once(label_text)
+    lines += [f"#{e.source} -{text(e.label)}-> #{e.target}" for e in lts.edges]
     s = stats(lts)
     lines.append("")
     lines.append(f"nodes: {s['node_count']}")
@@ -66,33 +79,29 @@ _FILL = {
     NodeKind.SUCCESS: "green",
 }
 
+# A DOT node's label text in each `ExportOptions.node_labels` mode.
+_NODE_TEXT = {
+    "id": lambda n: str(n.id),
+    "expr": lambda n: n.key,
+    "both": lambda n: f"{n.id}: {n.key}",
+}
+
 
 def to_dot(lts: Lts, opts: ExportOptions | None = None) -> str:
     """A `digraph` with one node per state (`n<id>`), deadlocks filled
     red, successes green, everything else white, and the root drawn with
     a heavier outline."""
-    opts = opts or ExportOptions()
+    text, root = _NODE_TEXT[(opts or ExportOptions()).node_labels], lts.root
     lines = ["digraph G {"]
-    for node in lts.nodes:
-        if opts.node_labels == "id":
-            text = str(node.id)
-        elif opts.node_labels == "expr":
-            text = node.key
-        else:
-            text = f"{node.id}: {node.key}"
-        attrs = [
-            f"label={_quote(text)}",
-            "style=filled",
-            f'fillcolor="{_FILL.get(node.kind, "white")}"',
-        ]
-        if node.id == lts.root:
-            attrs.append("penwidth=2")
-        lines.append(f"  n{node.id} [{', '.join(attrs)}];")
-    for edge in lts.edges:
-        lines.append(
-            f"  n{edge.source} -> n{edge.target} "
-            f"[label={_quote(label_text(edge.label))}];"
-        )
+    lines += [
+        f"  n{n.id} [label={_quote(text(n))}, style=filled, "
+        f'fillcolor="{_FILL.get(n.kind, "white")}"'
+        f'{", penwidth=2" if n.id == root else ""}];'
+        for n in lts.nodes
+    ]
+    quoted = _once(lambda label: _quote(label_text(label)))
+    lines += [f"  n{e.source} -> n{e.target} [label={quoted(e.label)}];"
+              for e in lts.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -112,23 +121,20 @@ def _label_json(label: TransitionLabel) -> dict:
 def to_json(lts: Lts) -> str:
     """Compact JSON: `{"root","truncated","nodes","edges"}` with nodes
     `{"id","kind","expr"}` and edges `{"src","dst","label"}`; an
-    infinite rate serializes as the string "inf"."""
+    infinite rate serializes as the string "inf". The string is written
+    directly, byte for byte what ``json.dumps`` makes of that document
+    with ``separators=(",", ":")``."""
     import json  # here, to keep it out of every other CLI run's start-up
+    from json.encoder import encode_basestring_ascii as string
 
-    doc = {
-        "root": lts.root,
-        "truncated": lts.truncated,
-        "nodes": [
-            {"id": n.id, "kind": n.kind.value, "expr": n.key}
-            for n in lts.nodes
-        ],
-        "edges": [
-            {
-                "src": e.source,
-                "dst": e.target,
-                "label": _label_json(e.label),
-            }
-            for e in lts.edges
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    labels = _once(lambda label: json.dumps(_label_json(label), separators=(",", ":")))
+    nodes = ",".join([
+        f'{{"id":{n.id},"kind":"{n.kind.value}","expr":{string(n.key)}}}'
+        for n in lts.nodes
+    ])
+    edges = ",".join([
+        f'{{"src":{e.source},"dst":{e.target},"label":{labels(e.label)}}}'
+        for e in lts.edges
+    ])
+    return (f'{{"root":{json.dumps(lts.root)},"truncated":{json.dumps(lts.truncated)},'
+            f'"nodes":[{nodes}],"edges":[{edges}]}}')

@@ -1,14 +1,34 @@
-"""Golden outputs for the text, DOT and JSON serializers."""
+"""Golden outputs for the text, DOT and JSON serializers, and the
+writers held to the reference exporter byte for byte."""
 
+import copy
 import doctest
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rosa_lts
-from rosa_lts import ExportOptions, build_lts, parse_program, to_dot, to_json, to_text
-from rosa_lts.export import _quote, label_text
+import reference_export
+from gen import gen_program
+from rosa_lts import (
+    NIL,
+    BuildConfig,
+    ExportOptions,
+    Lts,
+    NodeKind,
+    build_lts,
+    parse_program,
+    to_dot,
+    to_json,
+    to_text,
+)
+from rosa_lts.builder import LtsEdge, LtsNode
+from rosa_lts.export import NODE_LABELS, _quote, label_text
 from rosa_lts import INF, Action, NdBranch, Prob
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
 BLOCKED = build_lts(parse_program("<a,0.3>.0||{a,c}<b,inf>.0"))
 RATED = build_lts(parse_program("<a,0.3>.0"))
@@ -121,3 +141,61 @@ def test_exports_are_reproducible():
     assert to_text(one) == to_text(two)
     assert to_dot(one) == to_dot(two)
     assert to_json(one) == to_json(two)
+
+
+def _assert_as_reference(lts):
+    assert to_json(lts) == reference_export.to_json(lts)
+    for mode in NODE_LABELS:
+        opts = ExportOptions(mode)
+        assert to_text(lts, opts) == reference_export.to_text(lts, opts)
+        assert to_dot(lts, opts) == reference_export.to_dot(lts, opts)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.sampled_from((1, 3, 300)))
+def test_exports_of_generated_builds_are_the_reference_bytes(seed, max_states):
+    # A limit of 1 truncates every build with a move; most builds at
+    # depth 2 finish under 300 states.
+    source = gen_program(random.Random(seed), depth=2)
+    _assert_as_reference(build_lts(parse_program(source), BuildConfig(max_states)))
+
+
+# Characters each format escapes: quotes, backslashes, newlines, other
+# control characters and non-ASCII text, including outside the BMP.
+_TEXT = st.text(st.sampled_from('a0 .|{}"\\\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600'))
+_PROBS = st.sampled_from((5e-324, 0.1 + 0.2, 0.25, 1.0)) | st.floats(5e-324, 1.0)
+_RATES = st.sampled_from((5e-324, 0.1 + 0.2, 1e300, INF)) | st.floats(5e-324)
+_LABELS = st.lists(
+    st.one_of(
+        st.builds(NdBranch, _TEXT.filter(bool)),
+        st.builds(Prob, _PROBS),
+        st.builds(Action, st.sampled_from(("a", "b_2", "inf_", "Z")), _RATES),
+    ),
+    max_size=3,
+)
+# Offered to every hand-built graph besides the drawn labels.
+_EDGE_CASES = (Prob(5e-324), Prob(0.1 + 0.2), Action("a", 1e300), Action("b", INF),
+               NdBranch('L"\\\n\x01\xe9'))
+
+
+@st.composite
+def _hand_built(draw):
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=6))
+    nodes = [LtsNode(i, NIL, key, draw(st.sampled_from(NodeKind)))
+             for i, key in enumerate(keys)]
+    labels = draw(_LABELS) + list(_EDGE_CASES)
+    ids = st.integers(0, len(nodes) - 1)
+    edges = []
+    for _ in range(draw(st.integers(0, 10))):
+        label = draw(st.sampled_from(labels))
+        # An equal label as another object, which no build makes.
+        if draw(st.booleans()):
+            label = copy.copy(label)
+        edges.append(LtsEdge(draw(ids), draw(ids), label))
+    return Lts(nodes, edges, draw(ids), draw(st.booleans()))
+
+
+@PROPERTY
+@given(_hand_built())
+def test_exports_of_hand_built_graphs_are_the_reference_bytes(lts):
+    _assert_as_reference(lts)
