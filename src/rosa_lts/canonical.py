@@ -57,9 +57,16 @@ never built raw. `_canon` puts its binary nodes together through the
 same function, the one copy of S2-S4.
 
 Every node a rewrite builds comes from the record's table of shared
-nodes (`process.rebuild`, and `process.shared` for a new weight). A
-reordered spine that a previous state already produced comes back as
-that same object, marked canonical and with its key printed.
+nodes: `process.rebuild` for a prefix and a `;`, and `rewrap` itself
+for the nodes whose operands it orders. The table is also `rewrap`'s
+memo. It is keyed by kind, scalar field and the ids of the operands
+as `rewrap` receives them, in both orders: a node built with its
+operands swapped is stored under its own key and under the key of the
+operands as given. So a level that a previous state already climbed
+over the same operands costs one lookup, with no key compare, and
+comes back as that same object, marked canonical and with its key
+printed. An entry's node holds every id in its key, which is what
+keeps the ids in the keys from being reused while the build lives.
 """
 
 from __future__ import annotations
@@ -76,10 +83,12 @@ from .process import (
     Process,
     Seq,
     Var,
+    _binary,
+    _par,
+    _prob_choice,
     _set,
     pretty_print,
     rebuild,
-    shared,
 )
 
 #: The layer codes a canonical node's mark holds (module docstring).
@@ -101,7 +110,9 @@ class _Labels(dict):
 
 class _Build:
     """The state that one build shares, one dict per kind of key:
-    ``nodes``, the table of shared nodes (`process.rebuild`); ``bodies``,
+    ``nodes``, the table of shared nodes and `rewrap`'s memo, keyed by
+    kind, scalar fields and operand ids, whose every entry holds the
+    operands its key names (`rewrap`, `process.rebuild`); ``bodies``,
     each unfolded definition's canonical body by name, None while it is
     rewritten; ``offers``, ``nd``, ``prob`` and ``act``, the memos by
     node ``id`` of the offers walk that tells a stable state's deadlock
@@ -237,6 +248,17 @@ def rewrap(
     keeps ``p.right``. The result is marked canonical when its operands
     are; under a guard `_canon` passes operands that may hold a folded
     variable.
+
+    ``b.nodes`` is also the memo of this function. An entry under
+    ``(kind, scalar, id(left), id(right))`` is the node S2-S4 make of
+    those operands as given: the node itself in key order, and a node
+    built with its operands swapped is stored under the swapped key and
+    under the key of the operands as given. A marked entry is the
+    answer; an unmarked one, built under a guard, takes the long way
+    once, which marks it. An entry's node holds every id in its key, so
+    no id in a key is reused while the entry lives; a result that does
+    not hold both operands (S2's 0, S3's operand, S5's operand) is not
+    stored, nor is ``p`` itself.
     """
     kind = type(p)
     if kind is Seq:
@@ -250,27 +272,39 @@ def rewrap(
         return q
     if left is p.left and right is p.right and p._canonical:
         return p
+    nodes = b.nodes
+    scalar = p.sync if kind is Par else p.prob if kind is ProbChoice else None
+    key = (kind, scalar, id(left), id(right))
+    q = nodes.get(key)
+    if q is not None and q._canonical:
+        return q
     if kind is Par and type(left) is Nil and type(right) is Nil:
         q = NIL
     else:
         left_key, right_key = pretty_print(left), pretty_print(right)
         if right_key < left_key:
-            if kind is not ProbChoice:
-                q = rebuild(b.nodes, p, right, left)
-            else:
-                prob = 1.0 - p.prob
-                if prob == 1.0:
+            if kind is ProbChoice:
+                scalar = 1.0 - scalar
+                if scalar == 1.0:
                     # A tiny r, whose 1-r rounds to 1, takes S5.
                     return right
-                q = shared(b.nodes, prob, right, left)
+            swapped = (kind, scalar, id(right), id(left))
+            q = nodes.get(swapped)
+            if q is None:
+                q = nodes[swapped] = _node(kind, scalar, right, left)
+            nodes[key] = q
         elif left_key != right_key or kind is Par:
             if left is p.left and right is p.right:
                 q = p
-            else:
-                q = rebuild(b.nodes, p, left, right)
+            elif q is None:
+                q = nodes[key] = _node(kind, scalar, left, right)
         elif kind is ProbChoice:
-            # Equal operands leave no order to pick r or 1-r by.
-            q = shared(b.nodes, 0.5, left, left)
+            # Equal operands leave no order to pick r or 1-r by. The node
+            # holds ``left`` twice, so its key names ``left`` twice.
+            equal = (kind, 0.5, id(left), id(left))
+            q = nodes.get(equal)
+            if q is None:
+                q = nodes[equal] = _prob_choice(0.5, left, left)
         else:
             return left
     if left._canonical and right._canonical:
@@ -278,3 +312,14 @@ def rewrap(
                     PROB if kind is ProbChoice else STABLE)
         _set(q, "_canonical", ND if kind is IntChoice else layer)
     return q
+
+
+def _node(kind: type, scalar: object, left: Process, right: Process) -> Process:
+    """A new `rewrap` node of ``kind``, with ``scalar`` as its sync set or
+    weight; every field was checked when the operands and the template
+    were made, or is 0.5 or 1-r of a checked r."""
+    if kind is Par:
+        return _par(scalar, left, right)
+    if kind is ProbChoice:
+        return _prob_choice(scalar, left, right)
+    return _binary(kind, left, right)

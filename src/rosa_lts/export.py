@@ -54,10 +54,12 @@ def to_text(lts: Lts, opts: ExportOptions | None = None) -> str:
     """Node lines `#id [kind] expr`, then edge lines
     `#src -label-> #dst`, then a stats block."""
     opts = opts or ExportOptions()
+    # Each writer reads a kind's text from the member attribute
+    # ``_value_``; ``.value`` is a property that runs Python per read.
     if opts.node_labels == "id":
-        lines = [f"#{n.id} [{n.kind.value}]" for n in lts.nodes]
+        lines = [f"#{n.id} [{n.kind._value_}]" for n in lts.nodes]
     else:
-        lines = [f"#{n.id} [{n.kind.value}] {n.key}" for n in lts.nodes]
+        lines = [f"#{n.id} [{n.kind._value_}] {n.key}" for n in lts.nodes]
     text = _once(label_text)
     lines += [f"#{e.source} -{text(e.label)}-> #{e.target}" for e in lts.edges]
     s = stats(lts)
@@ -74,9 +76,11 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# Keyed by the kind's text, which hashes in C where a `NodeKind`
+# member hashes through ``Enum.__hash__``.
 _FILL = {
-    NodeKind.DEADLOCK: "red",
-    NodeKind.SUCCESS: "green",
+    NodeKind.DEADLOCK.value: "red",
+    NodeKind.SUCCESS.value: "green",
 }
 
 # A DOT node's label text in each `ExportOptions.node_labels` mode.
@@ -95,7 +99,7 @@ def to_dot(lts: Lts, opts: ExportOptions | None = None) -> str:
     lines = ["digraph G {"]
     lines += [
         f"  n{n.id} [label={_quote(text(n))}, style=filled, "
-        f'fillcolor="{_FILL.get(n.kind, "white")}"'
+        f'fillcolor="{_FILL.get(n.kind._value_, "white")}"'
         f'{", penwidth=2" if n.id == root else ""}];'
         for n in lts.nodes
     ]
@@ -129,7 +133,7 @@ def to_json(lts: Lts) -> str:
 
     labels = _once(lambda label: json.dumps(_label_json(label), separators=(",", ":")))
     nodes = ",".join([
-        f'{{"id":{n.id},"kind":"{n.kind.value}","expr":{string(n.key)}}}'
+        f'{{"id":{n.id},"kind":"{n.kind._value_}","expr":{string(n.key)}}}'
         for n in lts.nodes
     ])
     edges = ",".join([

@@ -19,23 +19,25 @@ node; printing a tree again, or a new tree built around already printed
 subtrees, renders only the new nodes.
 
 A field is checked once, where it enters the package. The parser checks
-each name, rate and weight as it reads it, and `rebuild` and `shared`
-copy fields of nodes that were checked when they were made, so these
-three build their nodes through private trusted constructors (`_var`,
-`_prefix`, `_binary`, `_prob_choice` and `_par`), which set the slots
-and check nothing.
+each name, rate and weight as it reads it, and the canonical rewrite
+(`rebuild` here, `canonical.rewrap` for the other binary nodes) copies
+fields of nodes that were checked when they were made, or puts in 0.5
+or 1-r of a checked r, so these build their nodes through private
+trusted constructors (`_var`, `_prefix`, `_binary`, `_prob_choice` and
+`_par`), which set the slots and check nothing.
 
 Nodes that a build constructs are shared: the canonical rewrite, which
 the transition rules call to build each successor canonical, takes
 each new node from the node table of the build's record
-(`canonical._Build`) through `rebuild`, which puts a node's kind and
-scalar fields on new children (and through `shared` for the two
-reweighted probabilistic choices of canonicalization). The table is
-keyed by constructor, by the scalar fields and by the ``id`` of each
-child, so a node built again from the same children comes back as the
-same object, with its printed form and canonical mark already cached.
-Equality stays structural: nodes parsed from the source never enter
-the table, and equal subterms parsed separately remain distinct objects.
+(`canonical._Build`), through `rebuild` for a prefix and a `;`, and
+through `canonical.rewrap` for the nodes whose operands it orders. The
+table is keyed by constructor, by the scalar fields and by the ``id``
+of each child, and each entry's node holds every child its key names,
+so no id in a key is reused while the entry lives. A node built again
+from the same children comes back as the same object, with its printed
+form and canonical mark already cached. Equality stays structural:
+nodes parsed from the source never enter the table, and equal subterms
+parsed separately remain distinct objects.
 """
 
 from __future__ import annotations
@@ -284,8 +286,8 @@ class Par(_Term):
 Process = Nil | Var | Prefix | Seq | IntChoice | ExtChoice | ProbChoice | Par
 
 
-# Trusted construction (module docstring), for the parser, `rebuild` and
-# `shared`, whose fields are checked already. Each sets the slots
+# Trusted construction (module docstring), for the parser and the
+# canonical rewrite, whose fields are checked already. Each sets the slots
 # through their descriptors, without a check and without the name
 # lookup of ``object.__setattr__``.
 
@@ -386,46 +388,27 @@ class DefinitionEnv(_Record):
 def rebuild(
     nodes: dict, p: Process, left: Process, right: Process | None = None
 ) -> Process:
-    """The node of ``p``'s kind and scalar fields on new operands, taken
-    from ``nodes`` when it holds one, else constructed and added. For a
-    `Prefix`, ``left`` is the continuation.
+    """The `Prefix` or `Seq` node of ``p``'s kind and fields on new
+    operands, taken from ``nodes`` when it holds one, else constructed
+    and added. For a `Prefix`, ``left`` is the continuation; a `Seq`
+    keeps its operand order. The other binary nodes come from
+    `canonical.rewrap`, which orders their operands.
 
     The key holds each operand's ``id``. That is sound because the
-    table holds the node and the node its operands, so no id in a key
-    is reused while the entry lives.
+    table holds the node and the node holds every id in its key, so no
+    id in a key is reused while the entry lives.
     """
-    kind = type(p)
-    if kind is Par:
-        key = (kind, p.sync, id(left), id(right))
-    elif kind is ProbChoice:
-        key = (kind, p.prob, id(left), id(right))
-    elif kind is Prefix:
-        key = (kind, p.action, p.rate, id(left))
+    if type(p) is Prefix:
+        key = (Prefix, p.action, p.rate, id(left))
+        node = nodes.get(key)
+        if node is None:
+            # ``p``'s fields were checked when it was made.
+            node = nodes[key] = _prefix(p.action, p.rate, left)
     else:
-        key = (kind, None, id(left), id(right))
-    node = nodes.get(key)
-    if node is None:
-        # ``p``'s fields were checked when it was made.
-        if kind is Par:
-            node = _par(p.sync, left, right)
-        elif kind is ProbChoice:
-            node = _prob_choice(p.prob, left, right)
-        elif kind is Prefix:
-            node = _prefix(p.action, p.rate, left)
-        else:
-            node = _binary(kind, left, right)
-        nodes[key] = node
-    return node
-
-
-def shared(nodes: dict, prob: float, left: Process, right: Process) -> Process:
-    """``ProbChoice(prob, left, right)`` from ``nodes``, as `rebuild`
-    would give it, for a weight that no node to copy carries: 0.5, or
-    1-r of a checked r, so it is not checked again."""
-    key = (ProbChoice, prob, id(left), id(right))
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = _prob_choice(prob, left, right)
+        key = (Seq, None, id(left), id(right))
+        node = nodes.get(key)
+        if node is None:
+            node = nodes[key] = _binary(Seq, left, right)
     return node
 
 

@@ -319,6 +319,37 @@ def test_the_rules_hand_the_builder_canonical_states(monkeypatch):
     assert all(handed)
 
 
+def test_a_node_first_built_under_a_guard_is_marked_when_met_unguarded():
+    # The check reorders c.0+b.0 under the prefix, over operands not yet
+    # marked, so the table's node is left unmarked. After `a` the same
+    # operands come back marked, and the node found for them must be
+    # marked too before the builder admits it.
+    lts = build_lts(parse_program("main = a.(c.0 + b.0)"))
+    assert [n.key for n in lts.nodes] == ["a.(b.0+c.0)", "b.0+c.0", "0"]
+    assert all(n.process._canonical for n in lts.nodes)
+
+
+def test_every_table_entry_holds_the_operands_its_key_names():
+    # A key holds operand ids, which stay unique only while the entry's
+    # node holds those operands: both of a binary node, in either order,
+    # and the continuation of a prefix.
+    envs = [parse_program((Path(__file__).parent / "data" / "case_study.rosa").read_text())]
+    rng = random.Random(71)
+    envs += [parse_program(gen_program(rng)) for _ in range(50)]
+    entries = 0
+    for env in envs:
+        build = _Build(env)
+        rosa_lts.builder._explore(build, check(build), 500)
+        for key, node in build.nodes.items():
+            assert type(node) is key[0]
+            if key[0] is Prefix:
+                assert id(node.continuation) == key[3]
+            else:
+                assert sorted([id(node.left), id(node.right)]) == sorted(key[2:])
+        entries += len(build.nodes)
+    assert entries > 1000
+
+
 # Three components: 4**3 + 2*3*4**2 + 1 = 161 states, and one unfold of
 # a component variable for nearly every successor.
 INTERLEAVE_3 = "".join(
