@@ -5,13 +5,16 @@ Exit codes: 0 success (truncated builds included, with a warning on
 stderr); 1 file read/write errors; 2 parse or validation errors, and
 states nested deeper than the recursive walkers can follow; 3 unbound
 variables or unguarded recursion. Diagnostics go to stderr only, so the
-selected format is the only thing on stdout.
+selected format is the only thing on stdout. `main` pauses the cyclic
+garbage collector and restores it on return: a run makes no reference
+cycles, so a collection would free nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -173,7 +176,13 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(build_arg_parser().parse_args(argv))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return run(build_arg_parser().parse_args(argv))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

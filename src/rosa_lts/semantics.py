@@ -35,11 +35,11 @@ the ``id`` of a non-leaf node to the walk's result for it. A walk marks
 a node the first time it meets it and keeps the result from the second
 time on, so a shared subterm is walked below at most twice per build,
 and a node met once (each level of one very wide term) leaves no list
-for the garbage collector to trace. A result is a pure function of a
-canonical node and the record's environment and node table, which one
-build holds fixed, and no id is reused while the record lives, as an
-admitted state or the node table holds every node a walk reads. The
-builder only iterates a cached list.
+for the collector to trace in a library build (the command line pauses
+it). A result is a pure function of a canonical node and the record's
+environment and node table, which one build holds fixed, and no id is
+reused while the record lives, as an admitted state or the node table
+holds every node a walk reads. The builder only iterates a cached list.
 
 Every label a rule emits comes from the record's label table
 (`canonical._Labels`), keyed by class and fields, as does the summed

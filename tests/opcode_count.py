@@ -9,9 +9,12 @@ only), and each model is written to a temporary directory and run as
 the benchmark worker runs it: ``rosa_lts.cli.main`` on the model file,
 with its format, writing to a file. One untraced pass runs first, so
 that imports, compiled patterns and other one-time work are not
-counted; the second pass runs under ``sys.settrace`` with opcode events
-on, and every event counts. The count depends on the Python version,
-so compare only counts taken with the same interpreter. The package is
+counted; the second pass is counted, and every event counts. Python
+3.12 and later count with ``sys.monitoring`` INSTRUCTION events, and
+earlier versions with ``sys.settrace`` opcode events; stderr names the
+method. The two differ, and so does the count from one Python version
+to the next, so compare only counts taken with the same interpreter. A
+count of 0 means the counter saw nothing, and exits 1. The package is
 imported from the ``src`` directory next to this file.
 """
 
@@ -31,9 +34,29 @@ from rosa_lts.cli import main as cli_main  # noqa: E402
 SEED = 1
 
 
-def count(argvs: list[list[str]]) -> int:
-    """Opcodes executed by ``cli_main`` over ``argvs``, one run each."""
+def count(argvs: list[list[str]]) -> tuple[str, int]:
+    """The counting method, and the instructions ``cli_main`` executes
+    over ``argvs``, one run each."""
     executed = 0
+    if hasattr(sys, "monitoring"):
+        monitoring = sys.monitoring
+        tool, instruction = monitoring.PROFILER_ID, monitoring.events.INSTRUCTION
+
+        def on_instruction(code, offset):
+            nonlocal executed
+            executed += 1
+
+        monitoring.use_tool_id(tool, "opcode_count")
+        monitoring.register_callback(tool, instruction, on_instruction)
+        monitoring.set_events(tool, instruction)
+        try:
+            for argv in argvs:
+                cli_main(argv)
+        finally:
+            monitoring.set_events(tool, monitoring.events.NO_EVENTS)
+            monitoring.register_callback(tool, instruction, None)
+            monitoring.free_tool_id(tool)
+        return "sys.monitoring", executed
 
     def trace(frame, event, arg):
         nonlocal executed
@@ -49,7 +72,7 @@ def count(argvs: list[list[str]]) -> int:
             cli_main(argv)
     finally:
         sys.settrace(None)
-    return executed
+    return "sys.settrace", executed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,7 +89,12 @@ def main(argv: list[str] | None = None) -> int:
                           "--out", str(Path(work, f"{k}.{model.fmt}"))])
         for argv in argvs:
             cli_main(argv)
-        print(count(argvs))
+        method, executed = count(argvs)
+    print(f"counted with {method}", file=sys.stderr)
+    print(executed)
+    if not executed:
+        print("error: the counter saw no instruction", file=sys.stderr)
+        return 1
     return 0
 
 

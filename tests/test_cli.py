@@ -1,16 +1,20 @@
 """End-to-end command line behaviour, driven in-process."""
 
+import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import rosa_lts.builder
 import rosa_lts.cli
+from gen import gen_program
 from rosa_lts.cli import main
 
 SAMPLE_SOURCE = "<a,0.3>.0||{a,c}<b,inf>.0\n"
@@ -322,3 +326,64 @@ def test_900_action_chain_still_builds(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "nodes: 901\nedges: 900\n" in proc.stdout
+
+
+def _runs_of_every_outcome(tmp_path) -> list[list[str]]:
+    """Argument vectors over the outcomes of a run: builds in all three
+    formats, truncated builds, --check, and exits 2 and 3."""
+    rng = random.Random(26)
+    sources = {f"gen{k}": gen_program(rng) for k in range(50)}
+    sources["parse_error"] = "P = a.\n"
+    sources["guarded_cycle"] = UNGUARDED["behind_a_guard"][0]
+    sources["deep_chain"] = ".".join(f"a{i % 5}" for i in range(2000)) + ".0\n"
+    argvs = []
+    for name, source in sources.items():
+        path = tmp_path / f"{name}.rosa"
+        path.write_text(source, encoding="utf-8")
+        formats = ("text", "dot", "json") if name.startswith("gen") else ("text",)
+        argvs += [[str(path), "--format", fmt, "--max-states", "30",
+                   "--out", str(tmp_path / f"{name}.{fmt}")] for fmt in formats]
+    argvs += [[str(DATA / "case_study.rosa"), "--format", fmt] for fmt in ("text", "dot", "json")]
+    argvs += [[str(DATA / "case_study.rosa"), "--check"],
+              [str(DATA / "truncated_prob.rosa"), "--max-states", "2"]]
+    return argvs
+
+
+def test_a_run_makes_no_reference_cycles(tmp_path, capsys):
+    # Why main may pause the cyclic collector: whatever a run makes is
+    # freed by reference counting, so a collection after it finds nothing.
+    argvs = _runs_of_every_outcome(tmp_path)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # The first call builds the cached argparse parser, whose
+        # add_argument calls leave formatter objects in cycles.
+        main([str(DATA / "case_study.rosa"), "--check"])
+        gc.collect()
+        codes = Counter(main(argv) for argv in argvs)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert codes == {0: 155, 2: 2, 3: 1}, codes
+    assert STATE_TOO_DEEP in capsys.readouterr().err
+
+
+def test_main_restores_the_collector_setting(tmp_path, capsys):
+    enabled = gc.isenabled()
+    try:
+        gc.disable()
+        assert main([str(DATA / "case_study.rosa"), "--check"]) == 0
+        assert not gc.isenabled()
+        gc.enable()
+        assert main([str(tmp_path / "absent.rosa")]) == 1
+        assert gc.isenabled()
+        with pytest.raises(SystemExit):
+            main([str(DATA / "case_study.rosa"), "--format", "xml"])
+        assert gc.isenabled()
+    finally:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+    assert "invalid choice: 'xml'" in capsys.readouterr().err

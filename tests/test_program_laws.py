@@ -19,6 +19,7 @@ some of them recurse unguarded.
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import io
 import sys
@@ -250,12 +251,15 @@ def test_every_node_has_the_reference_kind_and_edges(lines):
 
 
 def _run(source: str, *flags: str) -> tuple[int, str]:
-    """Exit code and stderr of the command on ``source`` read from stdin."""
+    """Exit code and stderr of the command on ``source`` read from stdin.
+    The command leaves the garbage collector as it found it."""
     stdin = io.TextIOWrapper(io.BytesIO(source.encode()))
     err = io.StringIO()
+    enabled = gc.isenabled()
     with mock.patch.object(sys, "stdin", stdin), redirect_stderr(err), \
             redirect_stdout(io.StringIO()):
         code = main(["-", *flags])
+    assert gc.isenabled() == enabled
     return code, err.getvalue()
 
 
