@@ -8,9 +8,11 @@ The rewrite system, applied innermost-first to a fixed point:
   S4  operands of -, + and ||{A} sorted by key; P*{r}Q with the bigger
       key first becomes Q*{1-r}P, and P*{r}P becomes P*{0.5}P, one
       exact form for every r
-  S5  P*{1}Q -> P,  P*{0}Q -> Q      (applied before the dead branch is
-                                      visited, so an unreachable operand
-                                      is never unfolded)
+  S5  P*{1}Q -> P,  P*{r}Q -> Q      (for an r so small that 1-r
+                                      rounds to 1, 0 among them; applied
+                                      before the dead branch is visited,
+                                      so an unreachable operand is never
+                                      unfolded)
 
 Each rule preserves strong bisimilarity, so merging states with equal
 keys never changes the behaviour of the transition system.
@@ -22,8 +24,7 @@ which keeps keys finite for recursive definitions. This is the only
 place that unfolds: the transition rules read canonical terms, which
 have no unguarded variable left. The walk's flag ``guarded`` is set
 under a prefix and on the right of ';'; a variable there is returned
-as it is, and only results at unguarded positions are marked canonical
-(below).
+as it is, and the flag decides nothing else.
 
 A definition's body canonicalizes the same wherever it is unfolded, so
 it is rewritten once per build and kept under its name in the
@@ -36,18 +37,21 @@ definition the root reaches before a build explores any state.
 Operands are ordered, and S3 detected, by comparing keys, which each
 node computes once and caches (see `pretty_print`); printing is
 injective, so equal keys mean equal trees. A node whose operands come
-back unchanged is returned itself, and every result of canonicalizing
-an unguarded position is marked on the (slotted) node as canonical.
-Such a term has no unguarded variable left, so it is a fixed point for
-any environment, and a later call returns it at once.
+back unchanged is returned itself.
 
-The mark is the node's layer code, `STABLE`, `PROB` or `ND`, which the
-transition rules read instead of walking the node. It depends only on
-the node, so it is computed once, from the operands' codes: ``0`` and
-a prefix are stable, ``-`` is nd, ``;`` takes its left operand's code,
-``*{r}`` the larger operand code but at least prob, and ``+`` and
-``||{A}`` the larger. The larger code is the layer that resolves
-first.
+Every node a rewrite returns is marked on the (slotted) node as
+canonical, wherever it was met, unless it holds an unguarded variable,
+which only a guarded position leaves folded. A marked node is a fixed
+point for any environment, and a later call returns it at once. The
+mark is the node's layer code, `STABLE`, `PROB` or `ND`, which the
+transition rules read instead of walking the node. It is a function of
+the node alone (a synthesized attribute), computed once, from the
+operands' codes, where the node is built: ``0`` and a prefix are
+stable, ``;`` takes its left operand's code, and the other binary
+nodes are marked only when both operands are: ``-`` nd, ``*{r}`` the
+larger operand code but at least prob, and ``+`` and ``||{A}`` the
+larger. The larger code is the layer that resolves first. A variable
+is never marked.
 
 The transition rules build each successor canonical. Climbing back
 from the position that moved, they put each level's node back over its
@@ -56,17 +60,22 @@ one node, so a successor costs one rewrite per changed level and is
 never built raw. `_canon` puts its binary nodes together through the
 same function, the one copy of S2-S4.
 
-Every node a rewrite builds comes from the record's table of shared
-nodes: `process.rebuild` for a prefix and a `;`, and `rewrap` itself
-for the nodes whose operands it orders. The table is also `rewrap`'s
-memo. It is keyed by kind, scalar field and the ids of the operands
-as `rewrap` receives them, in both orders: a node built with its
-operands swapped is stored under its own key and under the key of the
-operands as given. So a level that a previous state already climbed
-over the same operands costs one lookup, with no key compare, and
-comes back as that same object, marked canonical and with its key
-printed. An entry's node holds every id in its key, which is what
-keeps the ids in the keys from being reused while the build lives.
+Nodes that a build constructs are shared. Every node a rewrite builds
+comes from the record's table of shared nodes: `rebuild` for a prefix
+and a `;`, and `rewrap` itself for the nodes whose operands it orders.
+The table is keyed by kind, scalar fields and the ids of the operands
+as the rewrite receives them, and each entry's node holds every
+operand its key names, so no id in a key is reused while the entry
+lives. An entry is final: its node's mark depends on the node alone,
+so the node is the answer wherever the same operands come back. The
+table is thus also `rewrap`'s memo, in both orders: a node built with
+its operands swapped is stored under its own key and under the key of
+the operands as given. So a level that a previous state already
+climbed over the same operands costs one lookup, with no key compare,
+and comes back as that same object, with its mark and key in place.
+Equality stays structural: nodes parsed from the source never enter
+the table, and equal subterms parsed separately remain distinct
+objects.
 """
 
 from __future__ import annotations
@@ -85,10 +94,10 @@ from .process import (
     Var,
     _binary,
     _par,
+    _prefix,
     _prob_choice,
     _set,
     pretty_print,
-    rebuild,
 )
 
 #: The layer codes a canonical node's mark holds (module docstring).
@@ -112,28 +121,28 @@ class _Build:
     """The state that one build shares, one dict per kind of key:
     ``nodes``, the table of shared nodes and `rewrap`'s memo, keyed by
     kind, scalar fields and operand ids, whose every entry holds the
-    operands its key names (`rewrap`, `process.rebuild`); ``bodies``,
-    each unfolded definition's canonical body by name, None while it is
-    rewritten; ``offers``, ``nd``, ``prob`` and ``act``, the memos by
-    node ``id`` of the offers walk that tells a stable state's deadlock
-    from its action moves and of the three rule walks (`semantics`);
-    ``labels``, every transition label the build emits (`_Labels`).
+    operands its key names (`rebuild`, `rewrap`); ``bodies``, each
+    unfolded definition's canonical body by name, None while it is
+    rewritten; ``offers``, the memo by node ``id`` of the offers walk
+    that tells a stable state's deadlock from its action moves, and
+    ``moves``, that of the three rule walks (`semantics`), which share
+    it because each memoizes only the nodes marked with its own layer,
+    and a node's layer never changes; ``labels``, every transition
+    label the build emits (`_Labels`).
     `build_lts` passes its record for the environment to the entry
     points here and in `semantics`; called with a `DefinitionEnv`, each
     makes a record for that call. Nothing built outlives the record but
     through the result.
     """
 
-    __slots__ = ("env", "nodes", "bodies", "offers", "nd", "prob", "act", "labels")
+    __slots__ = ("env", "nodes", "bodies", "offers", "moves", "labels")
 
     def __init__(self, env: DefinitionEnv) -> None:
         self.env = env
         self.nodes = {}
         self.bodies = {}
         self.offers = {}
-        self.nd = {}
-        self.prob = {}
-        self.act = {}
+        self.moves = {}
         self.labels = _Labels()
 
 
@@ -159,7 +168,7 @@ def check(env: DefinitionEnv) -> Process:
                 seen.add(p.name)
                 _canon(p, b, False)
                 stack.append(b.env.lookup(p.name))
-        elif kind is ProbChoice and (p.prob == 1.0 or p.prob == 0.0):
+        elif kind is ProbChoice and (p.prob == 1.0 or 1.0 - p.prob == 1.0):
             stack.append(p.left if p.prob == 1.0 else p.right)
         elif kind is not Nil:
             stack += p.right, p.left
@@ -226,15 +235,37 @@ def _canon(p: Process, b: _Build, guarded: bool) -> Process:
         else:
             q = rebuild(b.nodes, p, left, right)
         layer = left._canonical
-    elif kind is ProbChoice and (p.prob == 1.0 or p.prob == 0.0):
+    elif kind is ProbChoice and (p.prob == 1.0 or 1.0 - p.prob == 1.0):
         # S5, before the dead operand is visited.
         return _canon(p.left if p.prob == 1.0 else p.right, b, guarded)
     else:
         # S2-S4 on -, +, *{r} and ||{A}.
         return rewrap(p, b, _canon(p.left, b, guarded), _canon(p.right, b, guarded))
-    if not guarded:
-        _set(q, "_canonical", layer)
+    _set(q, "_canonical", layer)
     return q
+
+
+def rebuild(
+    nodes: dict, p: Process, left: Process, right: Process | None = None
+) -> Process:
+    """The `Prefix` or `Seq` node of ``p``'s kind and fields on new
+    operands, taken from ``nodes`` when it holds one, else constructed
+    and added. For a `Prefix`, ``left`` is the continuation; a `Seq`
+    keeps its operand order. The other binary nodes come from `rewrap`,
+    which orders their operands.
+    """
+    if type(p) is Prefix:
+        key = (Prefix, p.action, p.rate, id(left))
+        node = nodes.get(key)
+        if node is None:
+            # ``p``'s fields were checked when it was made.
+            node = nodes[key] = _prefix(p.action, p.rate, left)
+    else:
+        key = (Seq, None, id(left), id(right))
+        node = nodes.get(key)
+        if node is None:
+            node = nodes[key] = _binary(Seq, left, right)
+    return node
 
 
 def rewrap(
@@ -247,18 +278,17 @@ def rewrap(
     operands it has just canonicalized. A `Seq` takes ``left`` alone and
     keeps ``p.right``. The result is marked canonical when its operands
     are; under a guard `_canon` passes operands that may hold a folded
-    variable.
+    variable, and are then unmarked.
 
     ``b.nodes`` is also the memo of this function. An entry under
     ``(kind, scalar, id(left), id(right))`` is the node S2-S4 make of
     those operands as given: the node itself in key order, and a node
     built with its operands swapped is stored under the swapped key and
-    under the key of the operands as given. A marked entry is the
-    answer; an unmarked one, built under a guard, takes the long way
-    once, which marks it. An entry's node holds every id in its key, so
-    no id in a key is reused while the entry lives; a result that does
-    not hold both operands (S2's 0, S3's operand, S5's operand) is not
-    stored, nor is ``p`` itself.
+    under the key of the operands as given. Every entry is the answer,
+    as its mark was set from those same operands when it was built. An
+    entry's node holds every id in its key, so no id in a key is reused
+    while the entry lives; a result that does not hold both operands
+    (S2's 0, S3's operand) is not stored, nor is ``p`` itself.
     """
     kind = type(p)
     if kind is Seq:
@@ -276,7 +306,7 @@ def rewrap(
     scalar = p.sync if kind is Par else p.prob if kind is ProbChoice else None
     key = (kind, scalar, id(left), id(right))
     q = nodes.get(key)
-    if q is not None and q._canonical:
+    if q is not None:
         return q
     if kind is Par and type(left) is Nil and type(right) is Nil:
         q = NIL
@@ -285,9 +315,6 @@ def rewrap(
         if right_key < left_key:
             if kind is ProbChoice:
                 scalar = 1.0 - scalar
-                if scalar == 1.0:
-                    # A tiny r, whose 1-r rounds to 1, takes S5.
-                    return right
             swapped = (kind, scalar, id(right), id(left))
             q = nodes.get(swapped)
             if q is None:
@@ -296,7 +323,7 @@ def rewrap(
         elif left_key != right_key or kind is Par:
             if left is p.left and right is p.right:
                 q = p
-            elif q is None:
+            else:
                 q = nodes[key] = _node(kind, scalar, left, right)
         elif kind is ProbChoice:
             # Equal operands leave no order to pick r or 1-r by. The node

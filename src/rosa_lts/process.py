@@ -11,33 +11,20 @@ of a synchronization.
 Nodes are instances of hand-written classes on one small base,
 `_Record`, which also serves the labels and the LTS records. They are
 frozen and slotted, so callers cannot attach attributes to them. Each
-public constructor checks its own fields and sets its slots itself, and
-each class compares and hashes its fields through one getter made for
-it when the class is created. Each node's printed form is
-computed once, from its children's printed forms, and cached on the
-node; printing a tree again, or a new tree built around already printed
-subtrees, renders only the new nodes.
+class compares and hashes its fields through one getter made for it
+when the class is created. Each node's printed form is computed once,
+from its children's printed forms, and cached on the node; printing a
+tree again, or a new tree built around already printed subtrees,
+renders only the new nodes.
 
-A field is checked once, where it enters the package. The parser checks
-each name, rate and weight as it reads it, and the canonical rewrite
-(`rebuild` here, `canonical.rewrap` for the other binary nodes) copies
-fields of nodes that were checked when they were made, or puts in 0.5
-or 1-r of a checked r, so these build their nodes through private
-trusted constructors (`_var`, `_prefix`, `_binary`, `_prob_choice` and
-`_par`), which set the slots and check nothing.
-
-Nodes that a build constructs are shared: the canonical rewrite, which
-the transition rules call to build each successor canonical, takes
-each new node from the node table of the build's record
-(`canonical._Build`), through `rebuild` for a prefix and a `;`, and
-through `canonical.rewrap` for the nodes whose operands it orders. The
-table is keyed by constructor, by the scalar fields and by the ``id``
-of each child, and each entry's node holds every child its key names,
-so no id in a key is reused while the entry lives. A node built again
-from the same children comes back as the same object, with its printed
-form and canonical mark already cached. Equality stays structural:
-nodes parsed from the source never enter the table, and equal subterms
-parsed separately remain distinct objects.
+A field is checked once, where it enters the package. Each class with
+fields sets its slots in one place, a private trusted constructor
+(`_var`, `_prefix`, `_binary`, `_prob_choice` and `_par`) that checks
+nothing. The public constructor, the class's ``__new__``, checks the
+fields and then calls it. The parser checks each name, rate and weight
+as it reads it, and the canonical rewrite (`canonical`) copies fields
+of nodes that were checked when they were made, or puts in 0.5 or 1-r
+of a checked r, so both call the trusted constructors directly.
 """
 
 from __future__ import annotations
@@ -116,10 +103,10 @@ def _sync_set(value: object) -> frozenset[str]:
 class _Record:
     """Shared base of the package's records: equality within one class,
     hashing, ``repr`` and pickling over the fields ``__match_args__``
-    names, in constructor order, read by a getter bound once per class;
-    each constructor sets its slots itself. Unpickling and copying go
-    through the checking constructor. A record is frozen, unless it restores
-    ``object``'s ``__setattr__`` and ``__delattr__`` and drops the hash.
+    names, in constructor order, read by a getter bound once per class.
+    Unpickling and copying go through the checking constructor. A
+    record is frozen, unless it restores ``object``'s ``__setattr__``
+    and ``__delattr__`` and drops the hash.
     """
 
     __slots__ = ()
@@ -167,9 +154,9 @@ class _Term(_Record):
     falsy when the node is not canonical and otherwise holds its layer
     code (`canonical.STABLE`, `PROB` or `ND`), so that later
     canonicalizations hand it back untouched and the transition rules
-    read its layer without a walk. Each constructor empties both, once
-    its checks pass; they are then written only by `pretty_print` and
-    by the canonical rewrite.
+    read its layer without a walk. Each constructor empties both; they
+    are then written only by `pretty_print` and by the canonical
+    rewrite.
     """
 
     __slots__ = ("_key", "_canonical")
@@ -193,11 +180,9 @@ class Var(_Term):
 
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str) -> None:
+    def __new__(cls, name: str) -> Var:
         _check_name(name, "process variable name")
-        _set(self, "name", name)
-        _set(self, "_key", None)
-        _set(self, "_canonical", False)
+        return _var(name)
 
 
 class Prefix(_Term):
@@ -210,14 +195,10 @@ class Prefix(_Term):
 
     __slots__ = __match_args__ = ("action", "rate", "continuation")
 
-    def __init__(self, action: str, rate: float, continuation: Process) -> None:
+    def __new__(cls, action: str, rate: float, continuation: Process) -> Prefix:
         _check_name(action, "action name")
         _check_operands(continuation)
-        _set(self, "action", action)
-        _set(self, "rate", _rate(rate))
-        _set(self, "continuation", continuation)
-        _set(self, "_key", None)
-        _set(self, "_canonical", False)
+        return _prefix(action, _rate(rate), continuation)
 
 
 class _Binary(_Term):
@@ -225,12 +206,9 @@ class _Binary(_Term):
 
     __slots__ = __match_args__ = ("left", "right")
 
-    def __init__(self, left: Process, right: Process) -> None:
+    def __new__(cls, left: Process, right: Process) -> _Binary:
         _check_operands(left, right)
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_key", None)
-        _set(self, "_canonical", False)
+        return _binary(cls, left, right)
 
 
 class Seq(_Binary):
@@ -256,16 +234,12 @@ class ProbChoice(_Term):
 
     __slots__ = __match_args__ = ("prob", "left", "right")
 
-    def __init__(self, prob: float, left: Process, right: Process) -> None:
+    def __new__(cls, prob: float, left: Process, right: Process) -> ProbChoice:
         _check_operands(left, right)
         value = _number(prob, "probability")
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"probability outside [0,1]: {value!r}")
-        _set(self, "prob", value)
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_key", None)
-        _set(self, "_canonical", False)
+        return _prob_choice(value, left, right)
 
 
 class Par(_Term):
@@ -274,22 +248,18 @@ class Par(_Term):
 
     __slots__ = __match_args__ = ("sync", "left", "right")
 
-    def __init__(self, sync: frozenset[str], left: Process, right: Process) -> None:
+    def __new__(cls, sync: frozenset[str], left: Process, right: Process) -> Par:
         _check_operands(left, right)
-        _set(self, "sync", _sync_set(sync))
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_key", None)
-        _set(self, "_canonical", False)
+        return _par(_sync_set(sync), left, right)
 
 
 Process = Nil | Var | Prefix | Seq | IntChoice | ExtChoice | ProbChoice | Par
 
 
-# Trusted construction (module docstring), for the parser and the
-# canonical rewrite, whose fields are checked already. Each sets the slots
-# through their descriptors, without a check and without the name
-# lookup of ``object.__setattr__``.
+# Trusted construction (module docstring), for the public constructors,
+# the parser and the canonical rewrite, whose fields are checked
+# already. Each sets the slots through their descriptors, without a
+# check and without the name lookup of ``object.__setattr__``.
 
 _new = object.__new__
 
@@ -383,33 +353,6 @@ class DefinitionEnv(_Record):
 
     def root_process(self) -> Process:
         return self.lookup(self.root)
-
-
-def rebuild(
-    nodes: dict, p: Process, left: Process, right: Process | None = None
-) -> Process:
-    """The `Prefix` or `Seq` node of ``p``'s kind and fields on new
-    operands, taken from ``nodes`` when it holds one, else constructed
-    and added. For a `Prefix`, ``left`` is the continuation; a `Seq`
-    keeps its operand order. The other binary nodes come from
-    `canonical.rewrap`, which orders their operands.
-
-    The key holds each operand's ``id``. That is sound because the
-    table holds the node and the node holds every id in its key, so no
-    id in a key is reused while the entry lives.
-    """
-    if type(p) is Prefix:
-        key = (Prefix, p.action, p.rate, id(left))
-        node = nodes.get(key)
-        if node is None:
-            # ``p``'s fields were checked when it was made.
-            node = nodes[key] = _prefix(p.action, p.rate, left)
-    else:
-        key = (Seq, None, id(left), id(right))
-        node = nodes.get(key)
-        if node is None:
-            node = nodes[key] = _binary(Seq, left, right)
-    return node
 
 
 def format_number(value: float) -> str:

@@ -28,18 +28,22 @@ it climbs puts the node's kind back over the new operands through
 canonicalizes its continuation, which may unfold a variable and so
 raise UnguardedRecursion. A successor that another state, or another
 rule, has built already is the same object, and the builder finds
-every successor marked canonical.
+every successor marked canonical: a node's mark is set where the node
+is built and depends on the node alone.
 
 Each walk keeps a memo in the build's record (`canonical._Build`), from
-the ``id`` of a non-leaf node to the walk's result for it. A walk marks
-a node the first time it meets it and keeps the result from the second
-time on, so a shared subterm is walked below at most twice per build,
-and a node met once (each level of one very wide term) leaves no list
-for the collector to trace in a library build (the command line pauses
-it). A result is a pure function of a canonical node and the record's
-environment and node table, which one build holds fixed, and no id is
-reused while the record lives, as an admitted state or the node table
-holds every node a walk reads. The builder only iterates a cached list.
+the ``id`` of a non-leaf node to the walk's result for it. The offers
+walk has its own, and the three rule walks share one: each enters only
+the nodes marked with its own layer, and a node's mark never changes.
+A walk marks a node the first time it meets it and keeps the result
+from the second time on, so a shared subterm is walked below at most
+twice per build, and a node met once (each level of one very wide
+term) leaves no list for the collector to trace in a library build (the
+command line pauses it). A result is a pure function of a canonical
+node and the record's environment and node table, which one build
+holds fixed, and no id is reused while the record lives, as an admitted
+state or the node table holds every node a walk reads. The builder
+only iterates a cached list.
 
 Every label a rule emits comes from the record's label table
 (`canonical._Labels`), keyed by class and fields, as does the summed
@@ -208,7 +212,7 @@ def nd_successors(
     if p._canonical != ND:
         raise ValueError("nd_successors requires a deterministically "
                          f"unstable process, got {p}")
-    return [(b.labels[NdBranch, path], s) for path, s in _nd(p, b, b.nd)]
+    return [(b.labels[NdBranch, path], s) for path, s in _nd(p, b, b.moves)]
 
 
 # probabilistic rules -------------------------------------------------
@@ -261,7 +265,7 @@ def prob_successors(
                          f"unstable process, got {p}")
     # A zero branch, or a product of small weights that underflows,
     # leaves no successor.
-    return [(b.labels[Prob, w], s) for w, s in _presolve(p, b, b.prob) if w > 0.0]
+    return [(b.labels[Prob, w], s) for w, s in _presolve(p, b, b.moves) if w > 0.0]
 
 
 # action rules --------------------------------------------------------
@@ -317,4 +321,4 @@ def action_successors(
     p = canonicalize(p, b)
     if p._canonical != STABLE:
         raise ValueError(f"action_successors requires a stable process, got {p}")
-    return _act(p, b, b.act)
+    return _act(p, b, b.moves)

@@ -30,6 +30,7 @@ from rosa_lts import (
     Prob,
     ProbChoice,
     Process,
+    Seq,
     UnboundVariable,
     UnguardedRecursion,
     Var,
@@ -40,7 +41,7 @@ from rosa_lts import (
     stats,
     to_text,
 )
-from rosa_lts.canonical import _Build, check
+from rosa_lts.canonical import ND, PROB, STABLE, _Build, check
 
 from bisim import raw_key_lts
 from gen import for_process, gen_process, gen_program
@@ -319,20 +320,41 @@ def test_the_rules_hand_the_builder_canonical_states(monkeypatch):
     assert all(handed)
 
 
-def test_a_node_first_built_under_a_guard_is_marked_when_met_unguarded():
-    # The check reorders c.0+b.0 under the prefix, over operands not yet
-    # marked, so the table's node is left unmarked. After `a` the same
-    # operands come back marked, and the node found for them must be
-    # marked too before the builder admits it.
+def test_a_node_built_under_a_guard_is_marked_where_it_is_built():
+    # The check reorders c.0+b.0 under the prefix. The table's node is
+    # marked there, so when the same operands come back after `a`, the
+    # node found for them is the answer as it is.
+    build = _Build(parse_program("main = a.(c.0 + b.0)"))
+    root = check(build)
+    entry = root.continuation
+    assert pretty_print(entry) == "b.0+c.0"
+    assert any(node is entry for node in build.nodes.values())
+    assert entry._canonical == STABLE
     lts = build_lts(parse_program("main = a.(c.0 + b.0)"))
     assert [n.key for n in lts.nodes] == ["a.(b.0+c.0)", "b.0+c.0", "0"]
     assert all(n.process._canonical for n in lts.nodes)
 
 
+def mark_from_operands(node: Process) -> object:
+    """The mark of a table node, computed afresh from its operands'."""
+    kind = type(node)
+    if kind is Prefix:
+        return STABLE
+    if kind is Seq:
+        return node.left._canonical
+    left, right = node.left._canonical, node.right._canonical
+    if not (left and right):
+        return False
+    if kind is IntChoice:
+        return ND
+    return max(left, right, PROB if kind is ProbChoice else STABLE)
+
+
 def test_every_table_entry_holds_the_operands_its_key_names():
     # A key holds operand ids, which stay unique only while the entry's
     # node holds those operands: both of a binary node, in either order,
-    # and the continuation of a prefix.
+    # and the continuation of a prefix. An entry is the answer for its
+    # key as it is, so its mark is the one its operands give.
     envs = [parse_program((Path(__file__).parent / "data" / "case_study.rosa").read_text())]
     rng = random.Random(71)
     envs += [parse_program(gen_program(rng)) for _ in range(50)]
@@ -346,6 +368,7 @@ def test_every_table_entry_holds_the_operands_its_key_names():
                 assert id(node.continuation) == key[3]
             else:
                 assert sorted([id(node.left), id(node.right)]) == sorted(key[2:])
+            assert node._canonical == mark_from_operands(node), pretty_print(node)
         entries += len(build.nodes)
     assert entries > 1000
 

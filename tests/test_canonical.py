@@ -83,9 +83,11 @@ def test_degenerate_probabilities_prune():
 
 
 def test_flip_that_saturates_to_one_prunes():
-    # 1 - 1e-300 rounds to exactly 1.0, so the swapped form degenerates
+    # 1 - 1e-300 rounds to exactly 1.0, so the swapped form degenerates,
+    # and the weight prunes the same in either operand order
     p = ProbChoice(1e-300, a("b"), a())
     assert canonicalize(p, EMPTY) == a()
+    assert canonicalize(ProbChoice(1e-300, a(), a("b")), EMPTY) == a("b")
 
 
 def test_unguarded_variables_unfold_guarded_ones_stay():

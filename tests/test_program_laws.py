@@ -178,6 +178,9 @@ def test_every_format_passes_the_benchmark_checker(lines):
 
 @PROPERTY
 @given(programs())
+# A weight whose 1-r rounds to 1 prunes in both operand orders.
+@example(["main = a.0*{1e-300}b.0"])
+@example(["main = (a.0*{1e-300}b.0)||{}c.0"])
 def test_canonical_build_is_bisimilar_to_the_raw_build_of_the_mirror(lines):
     env = parse_program(_source(lines))
     mirrored = DefinitionEnv(
