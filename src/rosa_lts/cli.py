@@ -2,7 +2,9 @@
 system, write one of the three output formats.
 
 Exit codes: 0 success (truncated builds included, with a warning on
-stderr); 1 file read/write errors; 2 parse or validation errors, and
+stderr); 1 a failed read, or a failed write to the output file or to
+stdout, which may leave part of the output written; 2 parse or
+validation errors, and
 states nested deeper than the recursive walkers can follow; 3 unbound
 variables or unguarded recursion. Diagnostics go to stderr only, so the
 selected format is the only thing on stdout. `main` pauses the cyclic
@@ -15,10 +17,12 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
 import sys
+from io import TextIOBase
 from pathlib import Path
 
-from .builder import STATE_TEXT_BUDGET, BuildConfig, build_lts
+from .builder import STATE_TEXT_BUDGET, BuildConfig, Lts, build_lts
 from .canonical import check
 from .errors import (
     DuplicateDefinition,
@@ -115,13 +119,18 @@ def run(args: argparse.Namespace) -> int:
         return 1
     # An invalid byte becomes a lone surrogate, which no token matches:
     # the lexer reports it at its line and column under any locale.
+    # Each stage's input is dropped once the next holds what it needs:
+    # the bytes after decoding, the text after parsing and the
+    # environment after the build.
     source = data.decode("utf-8", "surrogateescape")
+    del data
 
     try:
         env = parse_program(source)
     except (ParseError, ValidationError, DuplicateDefinition) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    del source
 
     if args.root is not None:
         if args.root not in env.bindings:
@@ -136,6 +145,7 @@ def run(args: argparse.Namespace) -> int:
             check(env)
             return 0
         lts = build_lts(env, BuildConfig(max_states=args.max_states))
+        del env
     except (UnboundVariable, UnguardedRecursion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -154,25 +164,46 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    opts = ExportOptions(node_labels=args.labels)
-    if args.format == "dot":
-        output = to_dot(lts, opts)
-    elif args.format == "json":
-        output = to_json(lts)
-    else:
-        output = to_text(lts, opts)
-    if not output.endswith("\n"):
-        output += "\n"
-
-    if args.out:
-        try:
-            Path(args.out).write_text(output, encoding="utf-8")
-        except OSError as exc:
+    # The file is opened after the build, so a failed build creates none;
+    # a write that fails may leave part of the output in it.
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as out:
+                _export(lts, args, out)
+        else:
+            _export(lts, args, sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:
+        if args.out:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(output)
+        else:
+            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+            _discard_stdout()
+        return 1
     return 0
+
+
+def _export(lts: Lts, args: argparse.Namespace, file: TextIOBase) -> None:
+    """Write the selected format to ``file``, chunk by chunk."""
+    if args.format == "dot":
+        to_dot(lts, ExportOptions(node_labels=args.labels), file=file)
+    elif args.format == "json":
+        to_json(lts, file=file)
+        file.write("\n")
+    else:
+        to_text(lts, ExportOptions(node_labels=args.labels), file=file)
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the
+    interpreter's final flush of what stdout still buffers cannot fail
+    a second time (as the SIGPIPE note in the `signal` module's
+    documentation shows)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -108,6 +108,13 @@ def gen_program(rng: random.Random, depth: int = 3) -> str:
     return "\n".join(lines + [f"main = ({left}) ||{{{sync}}} ({right})"]) + "\n"
 
 
+def ring_program(k: int) -> str:
+    """k definitions in one cycle, shaped like the benchmark's `ring`:
+    k states and k edges over 21 distinct action labels."""
+    lines = [f"S{i} = <x{i % 7},{1 + i % 3}>.S{(i + 1) % k}\n" for i in range(k)]
+    return "".join(lines) + "main = S0\n"
+
+
 def has_prob_choice(p: Process) -> bool:
     if isinstance(p, ProbChoice):
         return True

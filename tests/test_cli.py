@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import pytest
 
 import rosa_lts.builder
 import rosa_lts.cli
-from gen import gen_program
+from gen import gen_program, ring_program
+from rosa_lts import build_lts, parse_program
 from rosa_lts.cli import main
 
 SAMPLE_SOURCE = "<a,0.3>.0||{a,c}<b,inf>.0\n"
@@ -252,6 +254,71 @@ def test_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_a_closed_stdout_is_a_one_line_error(tmp_path):
+    # The pipe's reader is gone before the first write. Run as its own
+    # process, since the interpreter's final flush of stdout must not
+    # fail a second time.
+    path = tmp_path / "ring.rosa"
+    path.write_text(ring_program(300), encoding="utf-8")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rosa_lts.cli", str(path), "--format", "json"],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_device_is_a_one_line_error(tmp_path, capsys):
+    # The output is several times the write buffer, so the first write
+    # fails within the stream, not at the close.
+    path = tmp_path / "ring.rosa"
+    path.write_text(ring_program(300), encoding="utf-8")
+    assert main([str(path), "--format", "dot", "--out", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: cannot write /dev/full: [Errno 28] No space left on device\n")
+    assert captured.out == ""
+
+
+def test_a_failed_build_creates_no_file(tmp_path, capsys):
+    path, out = tmp_path / "cycle.rosa", tmp_path / "out.txt"
+    path.write_text("main = a.P\nP = P\n", encoding="utf-8")
+    assert main([str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_a_run_holds_its_graph_and_not_its_output(tmp_path, capsys):
+    # The output goes out a chunk at a time, and the source text is
+    # dropped once parsed, so a run's traced peak is that of its parse
+    # and build, give or take a small part of the output. Whole-string
+    # writes held about two (JSON) to four (DOT) copies of it.
+    path = tmp_path / "ring.rosa"
+    path.write_text(ring_program(1000), encoding="utf-8")
+    # The first run builds the cached argument parser and imports json.
+    main([str(path), "--format", "json", "--max-states", "1", "--out", str(tmp_path / "warm")])
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    build = traced_peak(lambda: build_lts(parse_program(path.read_text(encoding="utf-8"))))
+    for fmt in ("dot", "json"):
+        out = tmp_path / f"ring.{fmt}"
+        peak = traced_peak(lambda: main([str(path), "--format", fmt, "--out", str(out)]))
+        size = out.stat().st_size
+        assert peak - build <= size / 10, (fmt, build, peak, size)
+
+
 STATE_TOO_DEEP = "error: a state is nested too deeply to build\n"
 
 DEEP_INPUTS = {
@@ -330,7 +397,8 @@ def test_900_action_chain_still_builds(tmp_path):
 
 def _runs_of_every_outcome(tmp_path) -> list[list[str]]:
     """Argument vectors over the outcomes of a run: builds in all three
-    formats, truncated builds, --check, and exits 2 and 3."""
+    formats, truncated builds, --check, failed writes, and exits 2
+    and 3."""
     rng = random.Random(26)
     sources = {f"gen{k}": gen_program(rng) for k in range(50)}
     sources["parse_error"] = "P = a.\n"
@@ -346,6 +414,12 @@ def _runs_of_every_outcome(tmp_path) -> list[list[str]]:
     argvs += [[str(DATA / "case_study.rosa"), "--format", fmt] for fmt in ("text", "dot", "json")]
     argvs += [[str(DATA / "case_study.rosa"), "--check"],
               [str(DATA / "truncated_prob.rosa"), "--max-states", "2"]]
+    # Writes that fail: at the open, and within the stream.
+    argvs.append([str(DATA / "case_study.rosa"), "--out", str(tmp_path)])
+    if os.path.exists("/dev/full"):
+        ring = tmp_path / "ring.rosa"
+        ring.write_text(ring_program(300), encoding="utf-8")
+        argvs.append([str(ring), "--format", "dot", "--out", "/dev/full"])
     return argvs
 
 
@@ -365,8 +439,9 @@ def test_a_run_makes_no_reference_cycles(tmp_path, capsys):
     finally:
         if enabled:
             gc.enable()
-    assert codes == {0: 155, 2: 2, 3: 1}, codes
-    assert STATE_TOO_DEEP in capsys.readouterr().err
+    assert codes == {0: 155, 1: 1 + os.path.exists("/dev/full"), 2: 2, 3: 1}, codes
+    err = capsys.readouterr().err
+    assert STATE_TOO_DEEP in err and f"error: cannot write {tmp_path}: " in err
 
 
 def test_main_restores_the_collector_setting(tmp_path, capsys):

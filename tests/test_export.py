@@ -3,6 +3,7 @@ writers held to the reference exporter byte for byte."""
 
 import copy
 import doctest
+import io
 import json
 import random
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import rosa_lts
 import reference_export
-from gen import gen_program
+from gen import gen_program, ring_program
 from rosa_lts import (
     NIL,
     BuildConfig,
@@ -25,7 +26,7 @@ from rosa_lts import (
     to_text,
 )
 from rosa_lts.builder import LtsEdge, LtsNode
-from rosa_lts.export import NODE_LABELS, _quote, label_text
+from rosa_lts.export import CHUNK_LINES, NODE_LABELS, _quote, label_text
 from rosa_lts import INF, Action, NdBranch, Prob
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -143,12 +144,39 @@ def test_exports_are_reproducible():
     assert to_json(one) == to_json(two)
 
 
+def _written(export, *args):
+    """What ``export`` writes to a file, checked against what it returns."""
+    file = io.StringIO()
+    assert export(*args, file=file) is None
+    assert file.getvalue() == export(*args)
+    return file.getvalue()
+
+
 def _assert_as_reference(lts):
-    assert to_json(lts) == reference_export.to_json(lts)
+    assert _written(to_json, lts) == reference_export.to_json(lts)
     for mode in NODE_LABELS:
         opts = ExportOptions(mode)
-        assert to_text(lts, opts) == reference_export.to_text(lts, opts)
-        assert to_dot(lts, opts) == reference_export.to_dot(lts, opts)
+        assert _written(to_text, lts, opts) == reference_export.to_text(lts, opts)
+        assert _written(to_dot, lts, opts) == reference_export.to_dot(lts, opts)
+
+
+# One more than two chunks of node lines and of edge lines.
+_LINES = 2 * CHUNK_LINES + 1
+
+
+def test_a_ring_of_more_than_two_chunks_is_the_reference_bytes():
+    lts = build_lts(parse_program(ring_program(_LINES)))
+    assert len(lts.nodes) == len(lts.edges) == _LINES
+    _assert_as_reference(lts)
+
+
+def test_a_graph_of_every_label_over_more_than_two_chunks_is_the_reference_bytes():
+    kinds = list(NodeKind)
+    nodes = [LtsNode(i, NIL, f"P{i}", kinds[i % len(kinds)]) for i in range(_LINES)]
+    labels = [NdBranch("L.R"), Prob(0.25), Action("a", 0.3), Action("b", INF)]
+    edges = [LtsEdge(i, (i * 7) % _LINES, labels[i % len(labels)])
+             for i in range(_LINES + CHUNK_LINES)]
+    _assert_as_reference(Lts(nodes, edges, 5, True))
 
 
 @PROPERTY
