@@ -13,13 +13,29 @@ states have passed `STATE_TEXT_BUDGET` characters, marks the result
 truncated and ends the build. The edges its source node collected up to that point are
 kept, a partial probabilistic fan-out included; no other node is
 expanded.
+
+Node kinds are compared by identity with the members bound once as
+module constants in `semantics` (`ND_UNSTABLE` and the others). An
+enum member is a singleton, so ``is`` decides what ``==`` would; and on
+Python 3.11 and earlier every ``NodeKind.X`` read goes through the
+enum class's ``__getattr__`` hook, a few hundred ns per state.
+
+The six functions the loop calls (`canonicalize`, `pretty_print`,
+`classify` and the three ``*_successors``) are read as this module's
+globals on every call: the benchmark's tracer times each layer by
+replacing those names here.
 """
 
 from __future__ import annotations
 
 from .canonical import _Build, canonicalize, check
-from .process import DefinitionEnv, Process, _Record, _set, pretty_print
+from .process import DefinitionEnv, Process, _Record, _setters, pretty_print
 from .semantics import (
+    ACTION_ENABLED,
+    DEADLOCK,
+    ND_UNSTABLE,
+    PROB_UNSTABLE,
+    SUCCESS,
     NodeKind,
     Prob,
     TransitionLabel,
@@ -64,19 +80,25 @@ class LtsNode(_Record):
     __slots__ = __match_args__ = ("id", "process", "key", "kind")
 
     def __init__(self, id: int, process: Process, key: str, kind: NodeKind) -> None:
-        _set(self, "id", id)
-        _set(self, "process", process)
-        _set(self, "key", key)
-        _set(self, "kind", kind)
+        _set_id(self, id)
+        _set_process(self, process)
+        _set_key(self, key)
+        _set_kind(self, kind)
+
+
+_set_id, _set_process, _set_key, _set_kind = _setters(LtsNode)
 
 
 class LtsEdge(_Record):
     __slots__ = __match_args__ = ("source", "target", "label")
 
     def __init__(self, source: int, target: int, label: TransitionLabel) -> None:
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "label", label)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_label(self, label)
+
+
+_set_source, _set_target, _set_label = _setters(LtsEdge)
 
 
 class Lts(_Record):
@@ -125,13 +147,15 @@ def _explore(build: _Build, root: Process, max_states: int) -> Lts:
         return found
 
     admit(root)
+    add_edge = lts.edges.append
     for node in nodes:
-        prob = node.kind == NodeKind.PROB_UNSTABLE
+        kind = node.kind
+        prob = kind is PROB_UNSTABLE
         if prob:
             successors = prob_successors(node.process, build)
-        elif node.kind == NodeKind.ND_UNSTABLE:
+        elif kind is ND_UNSTABLE:
             successors = nd_successors(node.process, build)
-        elif node.kind == NodeKind.ACTION_ENABLED:
+        elif kind is ACTION_ENABLED:
             successors = action_successors(node.process, build)
         else:
             continue  # deadlock and success nodes have no successors
@@ -151,12 +175,15 @@ def _explore(build: _Build, root: Process, max_states: int) -> Lts:
                 edges[target] = edges.get(target, 0.0) + label.p
             else:
                 edges[id(label), target] = label
+        # Plain loops: a state has a few edges, fewer than a generator
+        # or a comprehension costs to start.
+        source = node.id
         if prob:
-            lts.edges.extend(LtsEdge(node.id, t, build.labels[Prob, p])
-                             for t, p in edges.items())
+            for t, p in edges.items():
+                add_edge(LtsEdge(source, t, build.labels[Prob, p]))
         else:
-            lts.edges.extend(LtsEdge(node.id, t, label)
-                             for (_, t), label in edges.items())
+            for (_, t), label in edges.items():
+                add_edge(LtsEdge(source, t, label))
         if lts.truncated:
             break
     return lts
@@ -164,8 +191,8 @@ def _explore(build: _Build, root: Process, max_states: int) -> Lts:
 
 def stats(lts: Lts) -> dict[str, int | bool]:
     """Node, edge and terminal-state counts."""
-    deadlocks = sum(1 for n in lts.nodes if n.kind == NodeKind.DEADLOCK)
-    successes = sum(1 for n in lts.nodes if n.kind == NodeKind.SUCCESS)
+    deadlocks = sum(1 for n in lts.nodes if n.kind is DEADLOCK)
+    successes = sum(1 for n in lts.nodes if n.kind is SUCCESS)
     return {
         "node_count": len(lts.nodes),
         "edge_count": len(lts.edges),

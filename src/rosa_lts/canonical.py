@@ -96,7 +96,7 @@ from .process import (
     _par,
     _prefix,
     _prob_choice,
-    _set,
+    _set_canonical,
     pretty_print,
 )
 
@@ -221,8 +221,14 @@ def _canon(p: Process, b: _Build, guarded: bool) -> Process:
     if kind is Nil:
         q, layer = p, STABLE
     elif kind is Prefix:
-        cont = _canon(p.continuation, b, True)
-        q = p if cont is p.continuation else rebuild(b.nodes, p, cont)
+        cont = p.continuation
+        # A marked continuation, or a variable under this guard, would
+        # come back as it is: no call for it.
+        if cont._canonical or type(cont) is Var:
+            q = p
+        else:
+            cont = _canon(cont, b, True)
+            q = p if cont is p.continuation else rebuild(b.nodes, p, cont)
         layer = STABLE
     elif kind is Seq:
         left = _canon(p.left, b, guarded)
@@ -241,7 +247,7 @@ def _canon(p: Process, b: _Build, guarded: bool) -> Process:
     else:
         # S2-S4 on -, +, *{r} and ||{A}.
         return rewrap(p, b, _canon(p.left, b, guarded), _canon(p.right, b, guarded))
-    _set(q, "_canonical", layer)
+    _set_canonical(q, layer)
     return q
 
 
@@ -298,7 +304,7 @@ def rewrap(
             # S1 exposes the right operand at this position.
             return _canon(p.right, b, False)
         q = rebuild(b.nodes, p, left, p.right)
-        _set(q, "_canonical", left._canonical)
+        _set_canonical(q, left._canonical)
         return q
     if left is p.left and right is p.right and p._canonical:
         return p
@@ -337,7 +343,7 @@ def rewrap(
     if left._canonical and right._canonical:
         layer = max(left._canonical, right._canonical,
                     PROB if kind is ProbChoice else STABLE)
-        _set(q, "_canonical", ND if kind is IntChoice else layer)
+        _set_canonical(q, ND if kind is IntChoice else layer)
     return q
 
 

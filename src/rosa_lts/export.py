@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterable, Iterator
 from io import TextIOBase
 
 from .builder import Lts, stats
-from .process import INF, INF_KEYWORD, _Record, _set, format_number
+from .process import INF, INF_KEYWORD, _Record, _setters, format_number
 from .semantics import Action, NdBranch, NodeKind, Prob, TransitionLabel
 
 NODE_LABELS = ("id", "expr", "both")
@@ -32,7 +32,10 @@ class ExportOptions(_Record):
                 f"node_labels must be one of {NODE_LABELS}, "
                 f"got {node_labels!r}"
             )
-        _set(self, "node_labels", node_labels)
+        _set_node_labels(self, node_labels)
+
+
+(_set_node_labels,) = _setters(ExportOptions)
 
 
 def label_text(label: TransitionLabel) -> str:

@@ -25,6 +25,13 @@ fields and then calls it. The parser checks each name, rate and weight
 as it reads it, and the canonical rewrite (`canonical`) copies fields
 of nodes that were checked when they were made, or puts in 0.5 or 1-r
 of a checked r, so both call the trusted constructors directly.
+
+Every frozen record of the package, a node, a label, `LtsNode` or
+`LtsEdge`, writes a slot through that slot's descriptor setter, taken
+once per class by `_setters`, and never by name through
+``object.__setattr__``, which looks the name up on every write. So
+does each later write of a cache slot: `pretty_print`'s key and the
+canonical rewrite's mark.
 """
 
 from __future__ import annotations
@@ -142,9 +149,6 @@ class _Record:
         return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
 
-_set = object.__setattr__
-
-
 class _Term(_Record):
     """Shared base of the process constructors.
 
@@ -171,8 +175,8 @@ class Nil(_Term):
     __slots__ = ()
 
     def __init__(self) -> None:
-        _set(self, "_key", None)
-        _set(self, "_canonical", False)
+        _set_key(self, None)
+        _set_canonical(self, False)
 
 
 class Var(_Term):
@@ -265,6 +269,8 @@ _new = object.__new__
 
 
 def _setters(cls: type) -> list:
+    """The descriptor setters of the slots ``cls`` itself declares, in
+    ``__slots__`` order: ``setter(record, value)`` writes one slot."""
     return [cls.__dict__[name].__set__ for name in cls.__slots__]
 
 
@@ -341,8 +347,8 @@ class DefinitionEnv(_Record):
 
     def __init__(self, bindings: dict[str, Process] | None = None,
                  root: str = MAIN_NAME) -> None:
-        _set(self, "bindings", {} if bindings is None else bindings)
-        _set(self, "root", root)
+        _set_bindings(self, {} if bindings is None else bindings)
+        _set_root(self, root)
 
     def lookup(self, name: str) -> Process:
         """The body bound to ``name``, verbatim (no substitution)."""
@@ -353,6 +359,9 @@ class DefinitionEnv(_Record):
 
     def root_process(self) -> Process:
         return self.lookup(self.root)
+
+
+_set_bindings, _set_root = _setters(DefinitionEnv)
 
 
 def format_number(value: float) -> str:
@@ -416,7 +425,7 @@ def pretty_print(p: Process) -> str:
             stack += pending
             continue
         stack.pop()
-        object.__setattr__(node, "_key", _render(node))
+        _set_key(node, _render(node))
     return p._key
 
 
@@ -429,7 +438,9 @@ def _render(p: Process) -> str:
         if p.rate == INF:
             head = p.action
         else:
-            head = f"<{p.action},{format_number(p.rate)}>"
+            # A node's rate and weight are floats already, so `repr` is
+            # `format_number` without its ``float`` call.
+            head = f"<{p.action},{p.rate!r}>"
         return head + "." + _operand(p.continuation, _PREFIX)
     if kind is Seq:
         # ';' is right-associative: a Seq as left child needs parentheses.
@@ -442,7 +453,7 @@ def _render(p: Process) -> str:
     elif kind is ExtChoice:
         op = "+"
     else:
-        op = "*{" + format_number(p.prob) + "}"
+        op = "*{" + repr(p.prob) + "}"
     return _operand(p.left, _CHOICE) + op + _operand(p.right, _PREFIX)
 
 

@@ -71,7 +71,7 @@ from .process import (
     _check_name,
     _number,
     _rate,
-    _set,
+    _setters,
 )
 
 #: Slack for probability sums accumulated from branch products.
@@ -87,7 +87,10 @@ class NdBranch(_Record):
     def __init__(self, path: str) -> None:
         if not isinstance(path, str) or not path:
             raise ValueError(f"branch path must be a non-empty string: {path!r}")
-        _set(self, "path", path)
+        _set_path(self, path)
+
+
+(_set_path,) = _setters(NdBranch)
 
 
 class Prob(_Record):
@@ -100,7 +103,10 @@ class Prob(_Record):
         # Merged parallel branches can overshoot 1 by float error.
         if not (0.0 < value <= 1.0 + PROB_TOLERANCE):
             raise ValueError(f"probability out of (0,1]: {value!r}")
-        _set(self, "p", value)
+        _set_p(self, value)
+
+
+(_set_p,) = _setters(Prob)
 
 
 class Action(_Record):
@@ -110,8 +116,11 @@ class Action(_Record):
 
     def __init__(self, name: str, rate: float) -> None:
         _check_name(name, "action name")
-        _set(self, "name", name)
-        _set(self, "rate", _rate(rate))
+        _set_name(self, name)
+        _set_rate(self, _rate(rate))
+
+
+_set_name, _set_rate = _setters(Action)
 
 
 TransitionLabel = NdBranch | Prob | Action
@@ -123,6 +132,12 @@ class NodeKind(enum.Enum):
     ACTION_ENABLED = "action"
     DEADLOCK = "deadlock"
     SUCCESS = "success"
+
+
+# The members as module constants, which `classify` returns and
+# `builder` compares by identity: on Python 3.11 and earlier each
+# ``NodeKind.X`` read goes through the enum class's ``__getattr__`` hook.
+ND_UNSTABLE, PROB_UNSTABLE, ACTION_ENABLED, DEADLOCK, SUCCESS = NodeKind
 
 
 # offers walk ---------------------------------------------------------
@@ -164,12 +179,12 @@ def classify(p: Process, env: DefinitionEnv) -> NodeKind:
     p = canonicalize(p, b)
     layer = p._canonical
     if layer == ND:
-        return NodeKind.ND_UNSTABLE
+        return ND_UNSTABLE
     if layer == PROB:
-        return NodeKind.PROB_UNSTABLE
+        return PROB_UNSTABLE
     if type(p) is Nil:
-        return NodeKind.SUCCESS
-    return NodeKind.ACTION_ENABLED if _offers(p, b.offers) else NodeKind.DEADLOCK
+        return SUCCESS
+    return ACTION_ENABLED if _offers(p, b.offers) else DEADLOCK
 
 
 # non-deterministic rules ---------------------------------------------

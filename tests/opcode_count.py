@@ -3,9 +3,12 @@ executes through the command line entry point, a count that no machine
 noise moves.
 
     python3 tests/opcode_count.py interleave
+    python3 tests/opcode_count.py interleave --n 6
 
 The workload is built at seed 1 by ``perfbench/workloads.py`` (read
-only), and each model is written to a temporary directory and run as
+only), at its own size, or for `interleave` and `wide` at the size
+``--n`` gives (components, or self-loops), so that counts at two sizes
+tell how the cost per state or per edge grows. Each model is written to a temporary directory and run as
 the benchmark worker runs it: ``rosa_lts.cli.main`` on the model file,
 with its format, writing to a file. One untraced pass runs first, so
 that imports, compiled patterns and other one-time work are not
@@ -32,6 +35,9 @@ import workloads  # noqa: E402  (perfbench/workloads.py, read only)
 from rosa_lts.cli import main as cli_main  # noqa: E402
 
 SEED = 1
+
+#: The workloads whose generator takes a size ``n`` (``--n``).
+SIZED = ("interleave", "wide")
 
 
 def count(argvs: list[list[str]]) -> tuple[str, int]:
@@ -78,8 +84,17 @@ def count(argvs: list[list[str]]) -> tuple[str, int]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--n", type=int, metavar="N",
+                        help="size of interleave or wide (default: the workload's own)")
     args = parser.parse_args(argv)
-    models = workloads.WORKLOADS[args.workload](SEED)
+    size = ()
+    if args.n is not None:
+        if args.workload not in SIZED:
+            parser.error(f"--n applies to {' and '.join(SIZED)} only")
+        if args.n < 1:
+            parser.error(f"--n must be at least 1, got {args.n}")
+        size = (args.n,)
+    models = workloads.WORKLOADS[args.workload](SEED, *size)
     with tempfile.TemporaryDirectory() as work:
         argvs = []
         for k, model in enumerate(models):

@@ -282,6 +282,33 @@ INTERLEAVE_2 = (
 )
 
 
+# The names perfbench's tracer replaces in `rosa_lts.builder` to time
+# each layer of a build (perfbench/tracer.py).
+TRACED = ("canonicalize", "pretty_print", "classify",
+          "nd_successors", "prob_successors", "action_successors")
+
+
+def test_the_loop_calls_each_traced_layer_through_the_module(monkeypatch):
+    # A loop that called a layer through a private name, or merged two
+    # layers into one step, would leave that layer's benchmark metrics
+    # null. Two interleaved components have nd, prob and action states.
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    for name in TRACED:
+        function = getattr(rosa_lts.builder, name)
+        monkeypatch.setattr(rosa_lts.builder, name, counted(name, function))
+    lts = build_lts(parse_program(INTERLEAVE_2))
+    assert {n.kind for n in lts.nodes} >= {
+        NodeKind.ND_UNSTABLE, NodeKind.PROB_UNSTABLE, NodeKind.ACTION_ENABLED}
+    assert all(calls[name] > 0 for name in TRACED), calls
+
+
 def test_a_state_reached_twice_is_one_object(monkeypatch):
     seen = {}
     canonicalize = rosa_lts.builder.canonicalize

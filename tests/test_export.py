@@ -42,6 +42,7 @@ def test_label_text_forms():
     assert label_text(Prob(0.25)) == "p=0.25"
     assert label_text(Action("a", 0.3)) == "a,0.3"
     assert label_text(Action("b", INF)) == "b,inf"
+    assert label_text(Action("a", 2)) == "a,2.0"
 
 
 def test_text_golden():

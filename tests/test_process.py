@@ -119,6 +119,11 @@ PRINT_CASES = [
     (Par(frozenset(), ExtChoice(a(), a("b")), a("c")), "a.0+b.0||{}c.0"),
     (Par(frozenset(), a("c"), ExtChoice(a(), a("b"))), "c.0||{}a.0+b.0"),
     (Seq(a(), Par(frozenset(), a("b"), a("c"))), "a.0;b.0||{}c.0"),
+    # an int rate or weight is stored, and printed, as a float
+    (Prefix("a", 2, NIL), "<a,2.0>.0"),
+    (ProbChoice(1, a(), a("b")), "a.0*{1.0}b.0"),
+    (parse_process_text("<a,2>.0"), "<a,2.0>.0"),
+    (parse_process_text("a.0 *{1} b.0"), "a.0*{1.0}b.0"),
 ]
 
 
