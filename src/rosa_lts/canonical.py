@@ -61,13 +61,13 @@ never built raw. `_canon` puts its binary nodes together through the
 same function, the one copy of S2-S4.
 
 Nodes that a build constructs are shared. Every node a rewrite builds
-comes from the record's table of shared nodes: `rebuild` for a prefix
-and a `;`, and `rewrap` itself for the nodes whose operands it orders.
-The table is keyed by kind, scalar fields and the ids of the operands
-as the rewrite receives them, and each entry's node holds every
-operand its key names, so no id in a key is reused while the entry
-lives. An entry is final: its node's mark depends on the node alone,
-so the node is the answer wherever the same operands come back. The
+comes from the record's table of shared nodes: a prefix from `_canon`,
+its only builder, and every binary node from `rewrap`. The table is
+keyed by kind, scalar fields and the ids of the operands as the
+rewrite receives them, and each entry's node holds every operand its
+key names, so no id in a key is reused while the entry lives. An
+entry is final: its node's mark depends on the node alone, so the
+node is the answer wherever the same operands come back. The
 table is thus also `rewrap`'s memo, in both orders: a node built with
 its operands swapped is stored under its own key and under the key of
 the operands as given. So a level that a previous state already
@@ -82,10 +82,12 @@ from __future__ import annotations
 
 from .errors import UnguardedRecursion
 from .process import (
+    ND,
     NIL,
+    PROB,
+    STABLE,
     DefinitionEnv,
     IntChoice,
-    Nil,
     Par,
     Prefix,
     ProbChoice,
@@ -99,9 +101,6 @@ from .process import (
     _set_canonical,
     pretty_print,
 )
-
-#: The layer codes a canonical node's mark holds (module docstring).
-STABLE, PROB, ND = 1, 2, 3
 
 
 class _Labels(dict):
@@ -121,7 +120,7 @@ class _Build:
     """The state that one build shares, one dict per kind of key:
     ``nodes``, the table of shared nodes and `rewrap`'s memo, keyed by
     kind, scalar fields and operand ids, whose every entry holds the
-    operands its key names (`rebuild`, `rewrap`); ``bodies``, each
+    operands its key names (`_canon`, `rewrap`); ``bodies``, each
     unfolded definition's canonical body by name, None while it is
     rewritten; ``offers``, the memo by node ``id`` of the offers walk
     that tells a stable state's deadlock from its action moves, and
@@ -170,7 +169,7 @@ def check(env: DefinitionEnv) -> Process:
                 stack.append(b.env.lookup(p.name))
         elif kind is ProbChoice and (p.prob == 1.0 or 1.0 - p.prob == 1.0):
             stack.append(p.left if p.prob == 1.0 else p.right)
-        elif kind is not Nil:
+        elif p is not NIL:
             stack += p.right, p.left
     return root
 
@@ -218,60 +217,34 @@ def _canon(p: Process, b: _Build, guarded: bool) -> Process:
         for name in chain:
             bodies[name] = q
         return q
-    if kind is Nil:
-        q, layer = p, STABLE
-    elif kind is Prefix:
+    if kind is Prefix:
         cont = p.continuation
         # A marked continuation, or a variable under this guard, would
         # come back as it is: no call for it.
-        if cont._canonical or type(cont) is Var:
-            q = p
-        else:
+        if not (cont._canonical or type(cont) is Var):
             cont = _canon(cont, b, True)
-            q = p if cont is p.continuation else rebuild(b.nodes, p, cont)
-        layer = STABLE
-    elif kind is Seq:
+            if cont is not p.continuation:
+                nodes = b.nodes
+                key = (Prefix, p.action, p.rate, id(cont))
+                q = nodes.get(key)
+                if q is None:
+                    # ``p``'s fields were checked when it was made.
+                    q = nodes[key] = _prefix(p.action, p.rate, cont)
+                    _set_canonical(q, STABLE)
+                return q
+        _set_canonical(p, STABLE)
+        return p
+    if kind is Seq:
         left = _canon(p.left, b, guarded)
-        if type(left) is Nil:
+        if left is NIL:
             # S1 exposes the right operand at this position.
             return _canon(p.right, b, guarded)
-        right = _canon(p.right, b, True)
-        if left is p.left and right is p.right:
-            q = p
-        else:
-            q = rebuild(b.nodes, p, left, right)
-        layer = left._canonical
-    elif kind is ProbChoice and (p.prob == 1.0 or 1.0 - p.prob == 1.0):
+        return rewrap(p, b, left, _canon(p.right, b, True))
+    if kind is ProbChoice and (p.prob == 1.0 or 1.0 - p.prob == 1.0):
         # S5, before the dead operand is visited.
         return _canon(p.left if p.prob == 1.0 else p.right, b, guarded)
-    else:
-        # S2-S4 on -, +, *{r} and ||{A}.
-        return rewrap(p, b, _canon(p.left, b, guarded), _canon(p.right, b, guarded))
-    _set_canonical(q, layer)
-    return q
-
-
-def rebuild(
-    nodes: dict, p: Process, left: Process, right: Process | None = None
-) -> Process:
-    """The `Prefix` or `Seq` node of ``p``'s kind and fields on new
-    operands, taken from ``nodes`` when it holds one, else constructed
-    and added. For a `Prefix`, ``left`` is the continuation; a `Seq`
-    keeps its operand order. The other binary nodes come from `rewrap`,
-    which orders their operands.
-    """
-    if type(p) is Prefix:
-        key = (Prefix, p.action, p.rate, id(left))
-        node = nodes.get(key)
-        if node is None:
-            # ``p``'s fields were checked when it was made.
-            node = nodes[key] = _prefix(p.action, p.rate, left)
-    else:
-        key = (Seq, None, id(left), id(right))
-        node = nodes.get(key)
-        if node is None:
-            node = nodes[key] = _binary(Seq, left, right)
-    return node
+    # S2-S4 on -, +, *{r} and ||{A}.
+    return rewrap(p, b, _canon(p.left, b, guarded), _canon(p.right, b, guarded))
 
 
 def rewrap(
@@ -281,10 +254,12 @@ def rewrap(
     canonical operands, from ``b.nodes``: S2-S4, and for a `Seq` S1.
 
     ``p`` is a canonical node, or for `_canon` a binary node whose
-    operands it has just canonicalized. A `Seq` takes ``left`` alone and
-    keeps ``p.right``. The result is marked canonical when its operands
-    are; under a guard `_canon` passes operands that may hold a folded
-    variable, and are then unmarked.
+    operands it has just canonicalized. A `Seq`'s ``right`` is
+    optional: `_canon` passes the one it canonicalized, and a rule
+    climb passes none, or ``p.right``, and keeps it. The result is
+    marked canonical when its operands are, a `Seq` when its left
+    operand is; under a guard `_canon` passes operands that may hold a
+    folded variable, and are then unmarked.
 
     ``b.nodes`` is also the memo of this function. An entry under
     ``(kind, scalar, id(left), id(right))`` is the node S2-S4 make of
@@ -298,13 +273,21 @@ def rewrap(
     """
     kind = type(p)
     if kind is Seq:
-        if left is p.left:
+        if right is None:
+            right = p.right
+        if left is p.left and right is p.right:
+            _set_canonical(p, left._canonical)
             return p
-        if type(left) is Nil:
-            # S1 exposes the right operand at this position.
-            return _canon(p.right, b, False)
-        q = rebuild(b.nodes, p, left, p.right)
-        _set_canonical(q, left._canonical)
+        if left is NIL:
+            # S1 exposes the right operand at this position; `_canon`
+            # applies it itself, under its own guard.
+            return _canon(right, b, False)
+        nodes = b.nodes
+        key = (Seq, None, id(left), id(right))
+        q = nodes.get(key)
+        if q is None:
+            q = nodes[key] = _binary(Seq, left, right)
+            _set_canonical(q, left._canonical)
         return q
     if left is p.left and right is p.right and p._canonical:
         return p
@@ -314,32 +297,31 @@ def rewrap(
     q = nodes.get(key)
     if q is not None:
         return q
-    if kind is Par and type(left) is Nil and type(right) is Nil:
-        q = NIL
-    else:
-        left_key, right_key = pretty_print(left), pretty_print(right)
-        if right_key < left_key:
-            if kind is ProbChoice:
-                scalar = 1.0 - scalar
-            swapped = (kind, scalar, id(right), id(left))
-            q = nodes.get(swapped)
-            if q is None:
-                q = nodes[swapped] = _node(kind, scalar, right, left)
-            nodes[key] = q
-        elif left_key != right_key or kind is Par:
-            if left is p.left and right is p.right:
-                q = p
-            else:
-                q = nodes[key] = _node(kind, scalar, left, right)
-        elif kind is ProbChoice:
-            # Equal operands leave no order to pick r or 1-r by. The node
-            # holds ``left`` twice, so its key names ``left`` twice.
-            equal = (kind, 0.5, id(left), id(left))
-            q = nodes.get(equal)
-            if q is None:
-                q = nodes[equal] = _prob_choice(0.5, left, left)
+    if left is NIL and right is NIL and kind is Par:
+        return NIL
+    left_key, right_key = pretty_print(left), pretty_print(right)
+    if right_key < left_key:
+        if kind is ProbChoice:
+            scalar = 1.0 - scalar
+        swapped = (kind, scalar, id(right), id(left))
+        q = nodes.get(swapped)
+        if q is None:
+            q = nodes[swapped] = _node(kind, scalar, right, left)
+        nodes[key] = q
+    elif left_key != right_key or kind is Par:
+        if left is p.left and right is p.right:
+            q = p
         else:
-            return left
+            q = nodes[key] = _node(kind, scalar, left, right)
+    elif kind is ProbChoice:
+        # Equal operands leave no order to pick r or 1-r by. The node
+        # holds ``left`` twice, so its key names ``left`` twice.
+        equal = (kind, 0.5, id(left), id(left))
+        q = nodes.get(equal)
+        if q is None:
+            q = nodes[equal] = _prob_choice(0.5, left, left)
+    else:
+        return left
     if left._canonical and right._canonical:
         layer = max(left._canonical, right._canonical,
                     PROB if kind is ProbChoice else STABLE)

@@ -4,9 +4,9 @@ system, write one of the three output formats.
 Exit codes: 0 success (truncated builds included, with a warning on
 stderr); 1 a failed read, or a failed write to the output file or to
 stdout, which may leave part of the output written; 2 parse or
-validation errors, and
-states nested deeper than the recursive walkers can follow; 3 unbound
-variables or unguarded recursion. Diagnostics go to stderr only, so the
+validation errors, states nested deeper than the recursive walkers can
+follow, and a run that runs out of memory; 3 unbound variables or
+unguarded recursion. Diagnostics go to stderr only, so the
 selected format is the only thing on stdout. `main` pauses the cyclic
 garbage collector and restores it on return: a run makes no reference
 cycles, so a collection would free nothing.
@@ -62,9 +62,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Exit codes: 0 success (also truncated builds, which warn on "
-            "stderr); 1 read/write error; 2 parse/validation error, or a "
-            "state nested too deeply; 3 unbound variable or unguarded "
-            "recursion."
+            "stderr); 1 read/write error; 2 parse/validation error, a "
+            "state nested too deeply, or out of memory; 3 unbound variable "
+            "or unguarded recursion."
         ),
     )
     parser.add_argument(
@@ -210,7 +210,15 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return run(build_arg_parser().parse_args(argv))
+        try:
+            return run(build_arg_parser().parse_args(argv))
+        except MemoryError:
+            # Bound to no name, the error and its traceback, whose frames
+            # hold the build, are freed when this block ends, so the
+            # message is printed after it.
+            pass
+        print("error: out of memory", file=sys.stderr)
+        return 2
     finally:
         if enabled:
             gc.enable()

@@ -149,6 +149,12 @@ class _Record:
         return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
 
+#: The layer codes a canonical node's mark holds (`_Term`): a stable
+#: node, and one with an unguarded probabilistic or internal choice. The
+#: larger code is the layer that resolves first (`canonical`).
+STABLE, PROB, ND = 1, 2, 3
+
+
 class _Term(_Record):
     """Shared base of the process constructors.
 
@@ -156,11 +162,11 @@ class _Term(_Record):
     equality, hashing or ``repr``: ``_key`` holds the node's printed
     form once `pretty_print` has computed it, and ``_canonical`` is
     falsy when the node is not canonical and otherwise holds its layer
-    code (`canonical.STABLE`, `PROB` or `ND`), so that later
-    canonicalizations hand it back untouched and the transition rules
-    read its layer without a walk. Each constructor empties both; they
-    are then written only by `pretty_print` and by the canonical
-    rewrite.
+    code (`STABLE`, `PROB` or `ND`), so that later canonicalizations
+    hand it back untouched and the transition rules read its layer
+    without a walk. Each constructor empties both; they are then
+    written only by `pretty_print` and by the canonical rewrite. `NIL`,
+    the one ``0``, is made printed and marked.
     """
 
     __slots__ = ("_key", "_canonical")
@@ -170,13 +176,12 @@ class _Term(_Record):
 
 
 class Nil(_Term):
-    """The terminated process ``0``."""
+    """The terminated process ``0``, of which there is one: `NIL`."""
 
     __slots__ = ()
 
-    def __init__(self) -> None:
-        _set_key(self, None)
-        _set_canonical(self, False)
+    def __new__(cls) -> Nil:
+        return NIL
 
 
 class Var(_Term):
@@ -194,7 +199,7 @@ class Prefix(_Term):
 
     The rate is a positive float; an undecorated action ``a`` is the
     same node with rate `INF`, and a trailing action with no
-    continuation gets an explicit Nil.
+    continuation gets `NIL`.
     """
 
     __slots__ = __match_args__ = ("action", "rate", "continuation")
@@ -330,8 +335,11 @@ def _par(sync: frozenset[str], left: Process, right: Process) -> Par:
     return node
 
 
-#: The terminated process; all ``Nil()`` instances compare equal.
-NIL = Nil()
+#: The terminated process, made once and returned by ``Nil()``, so that
+#: printing and the canonical rewrite need no case for ``0``.
+NIL = _new(Nil)
+_set_key(NIL, "0")
+_set_canonical(NIL, STABLE)
 
 
 class DefinitionEnv(_Record):
@@ -413,11 +421,8 @@ def pretty_print(p: Process) -> str:
             # Reached twice through a shared subtree.
             stack.pop()
             continue
-        kind = type(node)
-        if kind is Prefix:
+        if type(node) is Prefix:
             children = (node.continuation,)
-        elif kind is Nil:
-            children = ()
         else:
             children = (node.left, node.right)
         pending = [c for c in children if c._key is None and type(c) is not Var]
@@ -432,8 +437,6 @@ def pretty_print(p: Process) -> str:
 def _render(p: Process) -> str:
     """``p``'s printed form, from the printed forms of its children."""
     kind = type(p)
-    if kind is Nil:
-        return "0"
     if kind is Prefix:
         if p.rate == INF:
             head = p.action

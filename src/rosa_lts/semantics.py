@@ -56,8 +56,11 @@ from __future__ import annotations
 
 import enum
 
-from .canonical import ND, PROB, STABLE, _build_of, _Build, _canon, canonicalize, rewrap
+from .canonical import _build_of, _Build, _canon, canonicalize, rewrap
 from .process import (
+    ND,
+    PROB,
+    STABLE,
     DefinitionEnv,
     ExtChoice,
     IntChoice,
@@ -142,8 +145,9 @@ ND_UNSTABLE, PROB_UNSTABLE, ACTION_ENABLED, DEADLOCK, SUCCESS = NodeKind
 
 # offers walk ---------------------------------------------------------
 
-# Memo entries (module docstring): no entry, and a node met once.
-_NEW, _ONCE = object(), object()
+# The memo entry of a node met once (module docstring). A result is a
+# tuple or a list, so ``None`` from ``memo.get`` is no entry.
+_ONCE = object()
 
 
 def _offers(p: Process, memo: dict) -> tuple[str, ...]:
@@ -154,8 +158,8 @@ def _offers(p: Process, memo: dict) -> tuple[str, ...]:
     if kind is Nil:
         return ()
     key = id(p)
-    seen = memo.get(key, _NEW)
-    if seen is not _NEW and seen is not _ONCE:
+    seen = memo.get(key)
+    if seen is not None and seen is not _ONCE:
         return seen
     left = _offers(p.left, memo)
     if kind is Seq:
@@ -197,8 +201,8 @@ def _nd(p: Process, b: _Build, memo: dict) -> list[tuple[str, Process]]:
     if kind is IntChoice:
         return [("L", p.left), ("R", p.right)]
     key = id(p)
-    seen = memo.get(key, _NEW)
-    if seen is not _NEW and seen is not _ONCE:
+    seen = memo.get(key)
+    if seen is not None and seen is not _ONCE:
         return seen
     left, right = p.left, p.right
     out = []
@@ -238,8 +242,8 @@ def _presolve(p: Process, b: _Build, memo: dict) -> list[tuple[float, Process]]:
     choices of a prob-unstable ``p``; its stable operands are kept as
     they are."""
     key = id(p)
-    seen = memo.get(key, _NEW)
-    if seen is not _NEW and seen is not _ONCE:
+    seen = memo.get(key)
+    if seen is not None and seen is not _ONCE:
         return seen
     kind = type(p)
     if kind is ProbChoice:
@@ -294,8 +298,8 @@ def _act(p: Process, b: _Build, memo: dict) -> list[tuple[Action, Process]]:
     if kind is Nil:
         return []
     key = id(p)
-    seen = memo.get(key, _NEW)
-    if seen is not _NEW and seen is not _ONCE:
+    seen = memo.get(key)
+    if seen is not None and seen is not _ONCE:
         return seen
     if kind is ExtChoice:
         out = _act(p.left, b, memo) + _act(p.right, b, memo)

@@ -18,9 +18,11 @@ from rosa_lts import (
     Var,
     canonical_key,
     canonicalize,
+    nd_successors,
     parse_process_text,
     pretty_print,
 )
+from rosa_lts.canonical import _Build
 from gen import VAR_ENV, gen_process
 
 EMPTY = DefinitionEnv(bindings={})
@@ -144,6 +146,27 @@ def test_canonical_subtrees_are_reused_in_new_contexts():
             reused = canonicalize(build(*parts), VAR_ENV)
             assert reused == canonicalize(build(*copies), VAR_ENV)
             assert canonicalize(reused, VAR_ENV) is reused
+
+
+@pytest.mark.parametrize("climb_first", [True, False], ids=["climb_first", "canonicalize_first"])
+def test_a_seq_that_canonicalize_and_a_rule_climb_build_is_one_object(climb_first):
+    # X unfolds to ``left``, so both build the ';' of ``left`` and ``right``,
+    # which neither source term holds: one table path gives one node.
+    left, right = a("b"), a("c")
+    build = _Build(DefinitionEnv(bindings={"X": left}))
+
+    def climbed():
+        # The nd rule resolves b.0-d.0 to b.0 and climbs back over ';'.
+        [(_, s), _] = nd_successors(Seq(IntChoice(left, a("d")), right), build)
+        return s
+
+    def unfolded():
+        return canonicalize(Seq(Var("X"), right), build)
+
+    first, second = (climbed, unfolded) if climb_first else (unfolded, climbed)
+    node = first()
+    assert node == Seq(left, right) and node.left is left and node.right is right
+    assert second() is node
 
 
 def test_swap_invariance_on_random_operands():

@@ -293,6 +293,25 @@ def test_a_failed_build_creates_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("stage", ["parse_program", "check", "build_lts", "to_text"])
+def test_out_of_memory_is_a_one_line_error(sample_file, tmp_path, capsys, monkeypatch, stage):
+    # A MemoryError from any stage ends the run as the other interpreter
+    # limit does, "nested too deeply": one stderr line and exit 2.
+    monkeypatch.setattr(rosa_lts.cli, stage, _out_of_memory)
+    out = tmp_path / "out.txt"
+    argv = [sample_file, "--out", str(out)] + (["--check"] if stage == "check" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+    # The file is opened after the build, so only a failed write leaves one.
+    assert out.exists() == (stage == "to_text")
+
+
 def test_a_run_holds_its_graph_and_not_its_output(tmp_path, capsys):
     # The output goes out a chunk at a time, and the source text is
     # dropped once parsed, so a run's traced peak is that of its parse

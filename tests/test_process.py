@@ -1,9 +1,16 @@
 """AST construction, validation and printing."""
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rosa_lts
 from rosa_lts import (
     INF,
     NIL,
@@ -12,6 +19,7 @@ from rosa_lts import (
     ExtChoice,
     IntChoice,
     NdBranch,
+    Nil,
     Par,
     Prefix,
     ProbChoice,
@@ -186,6 +194,30 @@ def test_pretty_print_of_a_deep_chain_does_not_recurse():
     for _ in range(depth):
         chain = Prefix("a", INF, chain)
     assert pretty_print(chain) == "a." * depth + "0"
+
+
+def test_nil_is_one_object():
+    assert Nil() is NIL
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_nil_round_trips_to_itself(round_trip):
+    assert round_trip(NIL) is NIL
+
+
+def test_nil_is_printed_and_marked_before_any_build():
+    # A fresh interpreter, where nothing has printed or canonicalized
+    # NIL yet: it is made with its key and its layer mark.
+    script = ("from rosa_lts.process import NIL, STABLE; "
+              "print(NIL._key, NIL._canonical == STABLE)")
+    env = dict(os.environ, PYTHONPATH=str(Path(rosa_lts.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0 True\n"
 
 
 def test_pretty_print_rejects_non_processes():
